@@ -491,83 +491,42 @@ impl AppTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_segment;
-    use vgpu_sim::FaultPattern;
+    use crate::recorder::TraceBuilder;
+    use std::sync::{Arc, Mutex};
+    use vgpu_sim::{FaultPattern, LifetimeTracker, SharedSink};
 
-    fn geom() -> TraceGeometry {
-        TraceGeometry {
-            warps_per_cta: 2,
-            regs_per_cta: 64,
-            smem_words_per_cta: 8,
-            slots_per_sm: 2,
-            total_ctas: 3,
-        }
+    /// Build an [`AppTrace`] by driving the lifetime-tracker hooks the
+    /// timed engine calls, exactly as a golden pass would.
+    fn trace_from_hooks(drive: impl FnOnce(&mut LifetimeTracker)) -> AppTrace {
+        let builder = Arc::new(Mutex::new(TraceBuilder::new()));
+        let sink: SharedSink = builder.clone();
+        let mut tr = LifetimeTracker::trace_only(&cfg());
+        tr.set_sink(sink);
+        drive(&mut tr);
+        drop(tr);
+        let mut b = builder.lock().unwrap();
+        b.finish()
     }
 
-    /// One launch (seg 1): SM0 slot0 lives [0, end), SM0 slot1 filled at
-    /// retire of cycle 4 (live from 5). RF word 10 written at t=2, read
-    /// at t=6; RF word 20 written at t=3, never read; word 30 untouched.
+    /// One launch (geometry: 2 warps and 64 registers per CTA, 2 slots
+    /// per SM, 3 CTAs; 10 cycles): SM0 slot0 lives [0, end), SM0 slot1
+    /// filled at retire of cycle 4 (live from 5). RF word 10 written at
+    /// t=2, read at t=6; RF word 20 written at t=3, never read; word 30
+    /// untouched after the zero-fill. The host then reads L2 word 5.
     fn tiny_trace() -> AppTrace {
-        let g = geom();
-        let launch_events = vec![
-            TraceEvent::Slot {
-                sm: 0,
-                slot: 0,
-                t: 0,
-                fill: true,
-                initial: true,
-            },
-            TraceEvent::Range {
-                h: 0,
-                inst: 0,
-                start: 0,
-                len: 64,
-                t: 0,
-                write: true,
-            },
-            TraceEvent::Access {
-                h: 0,
-                inst: 0,
-                word: 10,
-                t: 2,
-                write: true,
-            },
-            TraceEvent::Access {
-                h: 0,
-                inst: 0,
-                word: 20,
-                t: 3,
-                write: true,
-            },
-            TraceEvent::Slot {
-                sm: 0,
-                slot: 1,
-                t: 4,
-                fill: true,
-                initial: false,
-            },
-            TraceEvent::Range {
-                h: 0,
-                inst: 0,
-                start: 64,
-                len: 64,
-                t: 4,
-                write: true,
-            },
-            TraceEvent::Access {
-                h: 0,
-                inst: 0,
-                word: 10,
-                t: 6,
-                write: false,
-            },
-        ];
-        let blobs = vec![
-            encode_segment(0, None, &[]),
-            encode_segment(1, Some((&g, 10)), &launch_events),
-            encode_segment(2, None, &[TraceEvent::HostRead { word: 5 }]),
-        ];
-        AppTrace::from_blobs(blobs)
+        trace_from_hooks(|tr| {
+            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.cta_fill(0, 0, 64, 0, 8, 0);
+            tr.slot_fill(0, 0, 0, true);
+            tr.reg_write(0, 10, 2);
+            tr.reg_write(0, 20, 3);
+            tr.cta_fill(0, 64, 64, 8, 8, 4);
+            tr.slot_fill(0, 1, 4, false);
+            tr.reg_read(0, 10, 6);
+            tr.launch_end(10);
+            tr.advance_base(10);
+            tr.host_peek(0, 5);
+        })
     }
 
     fn rf_fault(cycle: u64, loc_pick: u64) -> UarchFault {
@@ -698,35 +657,17 @@ mod tests {
 
     #[test]
     fn host_read_keeps_l2_word_live() {
-        let g = geom();
-        let blobs = vec![
-            encode_segment(0, None, &[]),
-            encode_segment(
-                1,
-                Some((&g, 10)),
-                &[
-                    TraceEvent::Slot {
-                        sm: 0,
-                        slot: 0,
-                        t: 0,
-                        fill: true,
-                        initial: true,
-                    },
-                    TraceEvent::Access {
-                        h: 4,
-                        inst: 0,
-                        word: 5,
-                        t: 1,
-                        write: true,
-                    },
-                ],
-            ),
-            encode_segment(2, None, &[TraceEvent::HostRead { word: 5 }]),
-        ];
-        let tr = AppTrace::from_blobs(blobs);
+        let tr = trace_from_hooks(|tr| {
+            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.slot_fill(0, 0, 0, true);
+            tr.cache_write(HwStructure::L2, 0, 0, 5, 1);
+            tr.launch_end(10);
+            tr.advance_base(10);
+            tr.host_peek(0, 5);
+        });
         let c = cfg();
         // L2 frame 0, word 5 → byte offset 20 of the data array. The
-        // host read in seg 2 is the first touch after cycle 2.
+        // host read after the launch is the first touch after cycle 2.
         let f = UarchFault {
             cycle: 2,
             structure: HwStructure::L2,
@@ -744,6 +685,43 @@ mod tests {
         // A neighbouring untouched word is dead.
         let f2 = UarchFault { loc_pick: 24, ..f };
         assert!(matches!(tr.adjudicate(&c, 0, &f2), Verdict::Dead { .. }));
+    }
+
+    #[test]
+    fn same_cycle_read_and_write_is_live() {
+        // A fill (write) and a read of the same word in one cycle: the
+        // read sorts first, so a flip landing at or before that cycle —
+        // after the previous write — is conservatively live.
+        let tr = trace_from_hooks(|tr| {
+            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.cta_fill(0, 0, 64, 0, 8, 0);
+            tr.slot_fill(0, 0, 0, true);
+            tr.reg_write(0, 7, 2);
+            tr.reg_write(0, 7, 5);
+            tr.reg_read(0, 7, 5);
+            tr.launch_end(10);
+            tr.advance_base(10);
+        });
+        for cycle in [3, 4, 5] {
+            assert!(
+                matches!(
+                    tr.adjudicate(&cfg(), 0, &rf_fault(cycle, 7)),
+                    Verdict::Fallback {
+                        reason: FallbackReason::LiveWord,
+                        ..
+                    }
+                ),
+                "cycle {cycle}"
+            );
+        }
+        // Before the t=2 write, and after the tied read, the flip is dead.
+        for cycle in [1, 2, 6] {
+            assert_eq!(
+                tr.adjudicate(&cfg(), 0, &rf_fault(cycle, 7)),
+                Verdict::Dead { population: 64 },
+                "cycle {cycle}"
+            );
+        }
     }
 
     #[test]

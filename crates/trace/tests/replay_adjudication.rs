@@ -9,8 +9,9 @@
 //! transient patterns. A single disagreement is an unsound trace index
 //! and fails loudly.
 
-use kernels::apps::va::Va;
+use kernels::apps::{bfs::Bfs, nw::Nw, pathfinder::PathFinder, va::Va};
 use kernels::{faulty_run, golden_run, Benchmark, Outcome, PlannedFault, Variant};
+use relia::{prepare_uarch_campaign, CampaignCfg};
 use trace::{record_app_trace, FallbackReason, Verdict};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, UarchFault};
 
@@ -111,4 +112,64 @@ fn dead_verdicts_are_bit_identical_to_golden() {
         dead > 0 && fell_back > 0,
         "degenerate adjudication split: dead={dead} fallback={fell_back}"
     );
+}
+
+/// Per-structure `[dead, live_word, no_trace]` verdict counts
+/// (`HwStructure::ALL` order) for one app under one fault pattern.
+type VerdictPin = (&'static str, FaultPattern, [[u32; 3]; 5]);
+
+#[rustfmt::skip]
+const VERDICT_PINS: [VerdictPin; 8] = [
+    ("VA", FaultPattern::SingleBit, [[100, 100, 0], [200, 0, 0], [188, 12, 0], [200, 0, 0], [193, 7, 0]]),
+    ("VA", FaultPattern::BurstRow, [[100, 100, 0], [200, 0, 0], [188, 12, 0], [200, 0, 0], [193, 7, 0]]),
+    ("PathFinder", FaultPattern::SingleBit, [[82, 118, 0], [187, 13, 0], [187, 13, 0], [200, 0, 0], [198, 2, 0]]),
+    ("PathFinder", FaultPattern::BurstRow, [[77, 123, 0], [187, 13, 0], [180, 20, 0], [200, 0, 0], [198, 2, 0]]),
+    ("NW", FaultPattern::SingleBit, [[309, 91, 0], [353, 47, 0], [385, 15, 0], [400, 0, 0], [383, 17, 0]]),
+    ("NW", FaultPattern::BurstRow, [[228, 172, 0], [274, 126, 0], [332, 68, 0], [400, 0, 0], [381, 19, 0]]),
+    ("BFS", FaultPattern::SingleBit, [[369, 31, 0], [400, 0, 0], [367, 33, 0], [400, 0, 0], [377, 23, 0]]),
+    ("BFS", FaultPattern::BurstRow, [[297, 103, 0], [400, 0, 0], [288, 112, 0], [400, 0, 0], [377, 23, 0]]),
+];
+
+/// Adjudicate every trial of a fixed uarch campaign plan (single-bit and
+/// burst-row footprints over the same coordinates) and pin the exact
+/// verdict split. Any change to how liveness is computed must reproduce
+/// these decisions trial for trial in aggregate.
+#[test]
+fn verdict_counts_over_a_fixed_plan_are_pinned() {
+    let cfg = CampaignCfg::new(200, 0, 0x5EED_7ACE);
+    let apps: [Box<dyn Benchmark>; 4] = [
+        Box::new(Va),
+        Box::new(PathFinder),
+        Box::new(Nw),
+        Box::new(Bfs),
+    ];
+    let mut got = Vec::new();
+    for b in &apps {
+        let prep = prepare_uarch_campaign(b.as_ref(), &cfg, false);
+        let trace = record_app_trace(b.as_ref(), &cfg.gpu, &prep.golden);
+        for pattern in [FaultPattern::SingleBit, FaultPattern::BurstRow] {
+            let mut counts = [[0u32; 3]; 5];
+            for t in &prep.plan.trials {
+                let Some((ordinal, PlannedFault::Uarch(u))) = t.fault else {
+                    continue;
+                };
+                let fault = UarchFault { pattern, ..u };
+                let slot = match trace.adjudicate(&cfg.gpu, ordinal, &fault) {
+                    Verdict::Dead { .. } => 0,
+                    Verdict::Fallback {
+                        reason: FallbackReason::LiveWord,
+                        ..
+                    } => 1,
+                    Verdict::Fallback {
+                        reason: FallbackReason::NoTrace,
+                        ..
+                    } => 2,
+                    v => panic!("{} {fault:?}: unexpected verdict {v:?}", b.name()),
+                };
+                counts[fault.structure as usize][slot] += 1;
+            }
+            got.push((b.name(), pattern, counts));
+        }
+    }
+    assert_eq!(got, VERDICT_PINS);
 }
