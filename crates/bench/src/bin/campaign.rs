@@ -39,7 +39,7 @@
 //! golden snapshots per kernel, default 8) / `--no-fast-forward` (force
 //! every trial to simulate its whole application; docs/PERF.md). `run`
 //! and `serve` take `--backend timed|replay` (docs/TRACE.md): `replay`
-//! adjudicates each trial against the recorded golden access trace and
+//! adjudicates each trial against the golden liveness index and
 //! synthesizes the (byte-identical) record when the fault footprint is
 //! provably dead, simulating only the rest; it requires fast-forward,
 //! so `--backend replay --no-fast-forward` is a validation error.
@@ -1374,10 +1374,10 @@ fn fleet_lines(doc: &obs::JsonNode) -> Vec<String> {
             }
             if doc.get("replay_dead").is_some() {
                 out.push(format!(
-                    "replay       {} dead  {} re-executed  {} warps re-simulated",
+                    "replay       {} dead  {} fell back  {} fallback warps",
                     n("replay_dead"),
                     n("replay_fallback"),
-                    n("replay_warps_reexecuted"),
+                    n("replay_fallback_warps"),
                 ));
             }
             if let (Some(p50), Some(p95)) = (

@@ -191,7 +191,7 @@ fn observe_trial(
 /// Which simulation backend executes the trials of a campaign.
 ///
 /// `Replay` is a pure throughput knob, like fast-forward: trials whose
-/// fault footprint is provably dead in the recorded golden access trace
+/// fault footprint is provably dead in the golden liveness index
 /// synthesize their (masked) record without simulating; everything else
 /// re-executes on the timed engine. Classification is byte-identical
 /// either way (differential-tested). Campaigns replay cannot serve —
@@ -252,7 +252,7 @@ pub struct EngineCfg {
     /// Mid-launch snapshots per launch for the fast-forward pass.
     pub snapshots: usize,
     /// Simulation backend ([`EngineBackend::Replay`] adjudicates trials
-    /// against a recorded golden access trace before simulating).
+    /// against the golden liveness index before simulating).
     pub backend: EngineBackend,
 }
 
@@ -367,8 +367,8 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// Replay-backend context for one trial batch: the recorded golden
-/// access trace plus the fast-forward policy fallbacks should use.
+/// Replay-backend context for one trial batch: the golden liveness
+/// index plus the fast-forward policy fallbacks should use.
 struct ReplayCtx<'a> {
     trace: &'a trace::AppTrace,
     ff: FastForward,
@@ -426,11 +426,7 @@ fn run_one_trial(
                                 &[("app", app), ("reason", reason.label())],
                                 1,
                             );
-                            obs::counter_add(
-                                "trace_replay_warps_reexecuted_total",
-                                &[("app", app)],
-                                warps,
-                            );
+                            obs::counter_add("trace_fallback_warps_total", &[("app", app)], warps);
                             // Lazy snapshot capture: replay campaigns only
                             // pay for the fast-forward pass once a trial
                             // actually needs re-execution.
@@ -667,8 +663,8 @@ pub fn execute_trials_with<F>(
 where
     F: Fn(&TrialRecord) -> std::io::Result<()> + Sync,
 {
-    // The replay backend records the golden access trace up front (one
-    // traced golden pass) and defers snapshot capture until some trial
+    // The replay backend records the golden liveness index up front (one
+    // tracked golden pass) and defers snapshot capture until some trial
     // actually falls back; campaigns replay cannot serve return no trace
     // and degrade to the timed backend transparently.
     let replay = if ff.backend == EngineBackend::Replay {

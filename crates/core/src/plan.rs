@@ -184,7 +184,7 @@ pub struct PreparedCampaign<'a> {
     /// means fast-forward does not apply to this campaign (software
     /// layer, hardened, or snapshots disabled).
     pub snaps: OnceLock<Option<Arc<AppSnapshots>>>,
-    /// Lazily recorded golden access trace for the replay backend,
+    /// Lazily recorded golden liveness index for the replay backend,
     /// shared by every worker thread. `None` inside the cell means
     /// replay does not apply (software layer or hardened variant).
     pub app_trace: OnceLock<Option<Arc<trace::AppTrace>>>,
@@ -228,9 +228,9 @@ impl PreparedCampaign<'_> {
             .as_ref()
     }
 
-    /// The replay backend's recorded golden access trace, capturing it
-    /// on first use (one traced golden pass, bit-identity asserted
-    /// against the untraced baseline). Returns `None` — and records
+    /// The replay backend's golden liveness index, recording it on
+    /// first use (one tracked golden pass, bit-identity asserted
+    /// against the untracked baseline). Returns `None` — and records
     /// nothing — for campaigns replay cannot serve: software-layer
     /// plans, hardened variants, or all-empty fault populations.
     pub fn trace(&self) -> Option<&Arc<trace::AppTrace>> {

@@ -330,8 +330,8 @@ fn worker_status(name: &str) -> String {
     if dead + fell_back > 0 {
         out.push_str(&format!(
             ",\"replay_dead\":{dead},\"replay_fallback\":{fell_back},\
-             \"replay_warps_reexecuted\":{}",
-            prefix_sum("trace_replay_warps_reexecuted_total")
+             \"replay_fallback_warps\":{}",
+            prefix_sum("trace_fallback_warps_total")
         ));
     }
     match obs::progress::wall_quantiles() {

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use vgpu_arch::{Kernel, LaunchConfig};
 use vgpu_sim::due::LaunchAbort;
 use vgpu_sim::{
-    ArenaPlanner, Budget, ConvergeWith, DeviceSnapshot, FaultPlan, Gpu, GpuConfig, Mode,
-    SharedSink, SimSnapshot, Stats, SwFault, SwInjector, UarchFault, UarchInjector,
+    ArenaPlanner, Budget, ConvergeWith, DeviceSnapshot, FaultPlan, Gpu, GpuConfig, Liveness, Mode,
+    SimSnapshot, Stats, SwFault, SwInjector, UarchFault, UarchInjector,
 };
 
 use crate::tmr;
@@ -244,12 +244,8 @@ pub struct RunCtl {
     /// of building a fresh one (campaign hot path only).
     use_scratch: bool,
     outputs: Vec<(u32, u32)>,
-    /// Attach an ACE lifetime tracker at `alloc` time (golden runs only).
+    /// Attach a lifetime tracker at `alloc` time (golden runs only).
     ace: bool,
-    /// Attach a probe sink at `alloc` time (traced golden runs only): the
-    /// engine's access stream is mirrored into it, and host-side reads are
-    /// recorded as `HostRead` probe events.
-    trace: Option<SharedSink>,
     /// Cumulative tracker totals after the previous launch.
     ace_prev: [u64; 5],
     /// Per-launch ACE word-cycle deltas, aligned with `records`.
@@ -274,7 +270,6 @@ impl RunCtl {
             use_scratch: false,
             outputs: Vec::new(),
             ace: false,
-            trace: None,
             ace_prev: [0; 5],
             ace_per_launch: Vec::new(),
         }
@@ -307,7 +302,7 @@ impl RunCtl {
             assert_eq!(first2 - first1, self.tmr_stride, "uniform TMR stride");
             self.flag_addr = planner.alloc(4);
         }
-        let scratch = if self.use_scratch && !self.ace && self.trace.is_none() {
+        let scratch = if self.use_scratch && !self.ace {
             GPU_SCRATCH.take().filter(|g| {
                 g.mode() == self.mode_sim && g.cfg == self.cfg && planner.builds_layout_of(g.mem())
             })
@@ -323,10 +318,7 @@ impl RunCtl {
             }
             None => Gpu::new(self.cfg.clone(), planner.build(), self.mode_sim),
         };
-        if let Some(sink) = self.trace.take() {
-            assert!(!self.ace, "trace recording and --ace are exclusive");
-            gpu.attach_trace_sink(sink);
-        } else if self.ace {
+        if self.ace {
             gpu.attach_tracker();
         }
         self.gpu = Some(gpu);
@@ -399,7 +391,7 @@ impl RunCtl {
     pub fn read_u32(&mut self, addr: u32) -> u32 {
         self.flush_ff();
         let gpu = self.gpu_mut();
-        gpu.probe_host_read(addr);
+        gpu.track_host_read(addr);
         gpu.host_read_u32(addr)
     }
 
@@ -726,7 +718,7 @@ impl RunCtl {
         let mut out = Vec::new();
         for &(addr, words) in &outputs {
             for i in 0..words {
-                gpu.probe_host_read(addr + i * 4);
+                gpu.track_host_read(addr + i * 4);
             }
             out.extend(gpu.host_read_block(addr, words));
         }
@@ -796,9 +788,11 @@ pub fn golden_run(bench: &dyn Benchmark, cfg: &GpuConfig, variant: Variant) -> G
     }
 }
 
-/// A golden run instrumented with the ACE lifetime tracker
-/// (`vgpu_sim::lifetime`). Always timed and unhardened, to match the
-/// microarchitectural injection campaigns it screens for.
+/// A golden run instrumented with the lifetime tracker
+/// (`vgpu_sim::lifetime`): ACE word-cycles and the liveness index the
+/// replay backend adjudicates against, from one pass. Always timed and
+/// unhardened, to match the microarchitectural injection campaigns it
+/// screens for.
 #[derive(Debug, Clone)]
 pub struct AceGoldenRun {
     pub golden: GoldenRun,
@@ -813,6 +807,8 @@ pub struct AceGoldenRun {
     pub totals: [u64; 5],
     /// Lifetime events recorded (tracker work volume, for `obs`).
     pub events: u64,
+    /// Every word's read-reached windows and the launch timeline.
+    pub liveness: Liveness,
 }
 
 impl AceGoldenRun {
@@ -824,9 +820,9 @@ impl AceGoldenRun {
     }
 }
 
-/// Run `bench` fault-free on the timed engine with ACE lifetime tracking
-/// attached, recording per-structure ACE word-cycle totals alongside the
-/// usual golden statistics.
+/// Run `bench` fault-free on the timed engine with the lifetime tracker
+/// attached, recording per-structure ACE word-cycle totals and the
+/// liveness index alongside the usual golden statistics.
 ///
 /// # Panics
 /// Panics if the fault-free application aborts (a benchmark bug).
@@ -844,7 +840,7 @@ pub fn golden_run_ace(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceGoldenRun {
     let output = ctl.snapshot_outputs();
     let gpu = ctl.gpu.as_mut().expect("alloc ran");
     let events = gpu.tracker_events().unwrap_or(0);
-    let totals = gpu.finish_tracker().expect("tracker attached in alloc");
+    let (totals, liveness) = gpu.finish_tracker().expect("tracker attached in alloc");
     AceGoldenRun {
         golden: GoldenRun {
             output,
@@ -854,43 +850,7 @@ pub fn golden_run_ace(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceGoldenRun {
         per_launch: ctl.ace_per_launch,
         totals,
         events,
-    }
-}
-
-/// Run `bench` fault-free on the timed engine with a probe sink attached:
-/// one traced golden pass whose full access stream (`vgpu_sim::probe`) is
-/// mirrored into `sink` — the recording pass of the replay backend
-/// (`crates/trace`). Asserts bit-identity with the reference `golden` run
-/// as it goes: tracing must observe, never perturb. Timed, unhardened.
-///
-/// # Panics
-/// Panics if the fault-free application aborts or diverges from `golden`.
-pub fn golden_run_traced(
-    bench: &dyn Benchmark,
-    cfg: &GpuConfig,
-    golden: &GoldenRun,
-    sink: SharedSink,
-) {
-    let mut ctl = RunCtl::new(cfg.clone(), Mode::Timed, false, CtlMode::Golden);
-    ctl.trace = Some(sink);
-    bench
-        .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("traced golden run of {} aborted: {e:?}", bench.name()));
-    assert_eq!(
-        ctl.snapshot_outputs(),
-        golden.output,
-        "traced pass of {} diverged from golden output",
-        bench.name()
-    );
-    assert_eq!(ctl.total_cost, golden.total_cost);
-    assert_eq!(ctl.records.len(), golden.records.len());
-    for (t, p) in ctl.records.iter().zip(&golden.records) {
-        assert_eq!(
-            t.stats,
-            p.stats,
-            "traced pass of {} diverged from golden stats",
-            bench.name()
-        );
+        liveness,
     }
 }
 

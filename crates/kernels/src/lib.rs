@@ -29,7 +29,7 @@ pub mod kutil;
 pub mod tmr;
 
 pub use harness::{
-    faulty_run, faulty_run_ff, golden_run, golden_run_ace, golden_run_snapshots, golden_run_traced,
+    faulty_run, faulty_run_ff, golden_run, golden_run_ace, golden_run_snapshots,
     verify_snapshot_resume, AceGoldenRun, AppAbort, AppSnapshots, Benchmark, GoldenRun,
     LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult, Variant,
 };

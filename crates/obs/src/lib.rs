@@ -48,10 +48,12 @@ pub use registry::{
 pub use span::{phase_snapshot, time_phase, Phase, PhaseSnapshot};
 pub use trace::{TraceCtx, TraceEvent};
 
-/// Bucket upper bounds (µs) for injection wall-time histograms:
-/// sub-millisecond through multi-second, roughly ×2.5 per step.
-pub const WALL_US_BUCKETS: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
+/// Bucket upper bounds (µs) for injection wall-time histograms: from
+/// a record synthesized by replay adjudication (a few µs) through
+/// multi-second simulations, roughly ×2.5 per step.
+pub const WALL_US_BUCKETS: [u64; 18] = [
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+    250_000, 1_000_000,
 ];
 
 /// Reset every global sub-system — intended for tests that need a clean
@@ -90,5 +92,21 @@ pub(crate) mod testutil {
     /// don't interleave under the parallel test runner.
     pub fn lock() -> MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_buckets_resolve_microsecond_trials() {
+        let h = Histogram::new(&WALL_US_BUCKETS);
+        for _ in 0..10 {
+            h.observe(3);
+        }
+        let q = h.snapshot().quantile(0.5).expect("in range");
+        assert!(q < 100.0, "a 3 µs trial must not read as {q} µs");
+        assert!((2.0..=5.0).contains(&q), "p50 {q}");
     }
 }

@@ -26,7 +26,7 @@ pub enum Phase {
     AceRun = 4,
     /// Instrumented golden pass capturing fast-forward snapshots.
     SnapshotCapture = 5,
-    /// Instrumented golden pass recording the replay access trace.
+    /// Tracked golden pass building the replay liveness index.
     TraceCapture = 6,
 }
 

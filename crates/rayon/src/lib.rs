@@ -14,7 +14,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 /// Effective worker count.
@@ -229,42 +229,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Parallel in-place sorts over mutable slices (API subset of rayon's
-/// `ParallelSliceMut`).
-pub trait ParallelSliceMut<T: Send> {
-    fn par_sort_unstable_by_key<K, F>(&mut self, f: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    /// Contiguous chunks are sorted on worker threads, then a final
-    /// standard-library stable sort merges them — it detects the
-    /// pre-sorted runs, so the merge pass is cheap rather than a fresh
-    /// sort. Small inputs sort sequentially.
-    fn par_sort_unstable_by_key<K, F>(&mut self, f: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync,
-    {
-        const MIN_PAR_SORT: usize = 1 << 13;
-        let threads = current_num_threads();
-        if threads < 2 || self.len() < MIN_PAR_SORT {
-            self.sort_unstable_by_key(|e| f(e));
-            return;
-        }
-        let chunk = self.len().div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for part in self.chunks_mut(chunk) {
-                let f = &f;
-                s.spawn(move || part.sort_unstable_by_key(|e| f(e)));
-            }
-        });
-        self.sort_by_key(|e| f(e));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -315,27 +279,6 @@ mod tests {
             .map(|&x| x as u64)
             .reduce(|| 0, |a, b| a + b);
         assert_eq!(sum, (0..1000u64).sum());
-    }
-
-    #[test]
-    fn par_sort_matches_sequential_sort() {
-        // Deterministic pseudo-random data, above and below the
-        // sequential-fallback threshold.
-        for n in [100usize, 40_000] {
-            let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            let mut data: Vec<u64> = (0..n)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x
-                })
-                .collect();
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            data.par_sort_unstable_by_key(|&v| v);
-            assert_eq!(data, expect, "n={n}");
-        }
     }
 
     #[test]

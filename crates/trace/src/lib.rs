@@ -6,32 +6,24 @@
 //! before anything reads them. This crate removes that waste without
 //! giving up a single bit of fidelity:
 //!
-//! 1. **Record** ([`recorder`]): the golden instrumented pass runs once
-//!    per (app, config) with a probe sink attached, capturing every
-//!    register-file, shared-memory, and cache word access as a compact
-//!    delta/varint-encoded stream — one blob per segment (host glue /
-//!    launch), content-fingerprinted like campaign plans.
-//! 2. **Adjudicate** ([`replay`]): for each trial, mirror the
-//!    injector's site selection exactly, expand the fault pattern's
-//!    footprint, and look up the first recorded touch of every affected
-//!    word at-or-after the fault position. If every word is written
-//!    first (or never touched), the trial is *provably masked* and its
-//!    record is synthesized in microseconds. Reads, persistent faults,
-//!    control-state faults, and unindexable sites fall back to full
-//!    timed re-execution — so replay output is byte-identical to the
-//!    timed backend by construction, just an order of magnitude faster.
+//! 1. **Record** ([`record_app_trace`]): the golden pass runs once per
+//!    (app, config) with the lifetime tracker attached — the same pass
+//!    the ACE estimator runs — which keeps every word's read-reached
+//!    windows and each launch's CTA-slot timeline (`vgpu_sim::lifetime`).
+//! 2. **Adjudicate** ([`AppTrace::adjudicate`]): for each trial, mirror
+//!    the injector's site selection exactly, expand the fault pattern's
+//!    footprint, and look the fault position up in the windows of every
+//!    affected word. If no window holds it, every word is overwritten
+//!    first (or never touched again): the trial is *provably masked* and
+//!    its record is synthesized in microseconds. Reads, persistent
+//!    faults, control-state faults, and sites outside the recorded run
+//!    fall back to full timed re-execution — so replay output is
+//!    byte-identical to the timed backend by construction.
 //!
 //! The engine-facing surface lives in `relia::campaign` (backend
 //! selection); this crate is deliberately free of campaign and
 //! observability dependencies so it can be tested in isolation.
 
-pub mod codec;
-pub mod recorder;
 pub mod replay;
 
-pub use codec::{
-    decode_segment_lossy, encode_segment, fingerprint_blobs, get_varint, put_varint, SegmentEvents,
-    TraceEvent, TraceGeometry, MAGIC, VERSION,
-};
-pub use recorder::{record_app_trace, TraceBuilder};
-pub use replay::{AppTrace, FallbackReason, LaunchInfo, Verdict};
+pub use replay::{record_app_trace, AppTrace, FallbackReason, Verdict};

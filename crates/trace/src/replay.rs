@@ -1,199 +1,30 @@
-//! Replay-side trace representation and deadness adjudication.
+//! Replay-side deadness adjudication against the golden liveness index.
 //!
-//! An [`AppTrace`] is the indexed form of one application's recorded
-//! probe stream: the encoded per-segment blobs, per-launch occupancy
-//! info, and a global first-touch index over every recorded access.
+//! An [`AppTrace`] is one application's [`Liveness`] index, recorded by
+//! the lifetime tracker in one instrumented golden pass: every word's
+//! read-reached windows, plus each launch's occupancy geometry and CTA
+//! slot timeline.
 //!
 //! The replay engine's core question, for one transient uarch fault, is:
-//! *is every bit of the fault footprint provably dead?* A flipped word
-//! is dead when the first recorded touch of that word at-or-after the
-//! fault position is a **write** (the corruption is overwritten before
-//! anything reads it) or when it is never touched again (nothing ever
-//! consumes it, and final outputs are produced exclusively through
-//! recorded host reads). In either case the faulty execution is
-//! bit-identical to golden — outcome `Masked`, `total_cost` equal to
-//! golden's — so the trial record can be synthesized without simulating
-//! a single cycle. Anything else (a read reaches the corruption, a
-//! persistent fault, control state, an unindexable site) falls back to
-//! full re-execution, which is what keeps replay byte-identical to the
-//! timed backend by construction.
+//! *is every bit of the fault footprint provably dead?* A flipped word is
+//! dead when the fault position lies in none of the word's windows: the
+//! next touch of the word is a write (the corruption is overwritten before
+//! anything reads it), or nothing touches it again (final outputs reach
+//! the host only through tracked host reads). In either case the faulty
+//! execution is bit-identical to golden — outcome `Masked`, `total_cost`
+//! equal to golden's — so the trial record can be synthesized without
+//! simulating a single cycle. Anything else (a read reaches the
+//! corruption, a persistent fault, control state, a site outside the
+//! recorded run) falls back to full re-execution, which is what keeps
+//! replay byte-identical to the timed backend by construction.
 //!
-//! Position ordering is global: launch ordinal `k` is segment `2k + 1`
-//! and host glue fills the even segments, so `(segment, cycle)`
-//! lexicographic order is program order. The fault applies at the *top*
-//! of its cycle, before issue, so touches at `t == cycle` count as
-//! post-fault.
+//! The fault applies at the *top* of its cycle, before issue, so touches
+//! in the fault's own cycle count as post-fault; a read and a write of
+//! one word in one cycle count as read first (`vgpu_sim::lifetime`).
 
-use std::io::{Error, ErrorKind, Result as IoResult};
-use std::path::Path;
-
-use rayon::prelude::*;
+use kernels::{Benchmark, GoldenRun};
 use vgpu_arch::WARP_SIZE;
-use vgpu_sim::{pattern_footprint, GpuConfig, HwStructure, UarchFault};
-
-use crate::codec::{decode_segment_lossy, fingerprint_blobs, TraceEvent, TraceGeometry};
-
-const KEY_WORD_BITS: u32 = 40;
-const KEY_INST_BITS: u32 = 16;
-const POS_T_BITS: u32 = 40;
-
-fn pack_key(h: u8, inst: u32, word: u64) -> Option<u64> {
-    if word >> KEY_WORD_BITS != 0 || inst >> KEY_INST_BITS != 0 {
-        return None;
-    }
-    Some(
-        (u64::from(h) << (KEY_WORD_BITS + KEY_INST_BITS))
-            | (u64::from(inst) << KEY_WORD_BITS)
-            | word,
-    )
-}
-
-/// Pack `(seg, t, write)` into one ordered u64. The write flag sits in
-/// the LSB, so at equal `(seg, t)` reads sort *before* writes — which
-/// makes the first-entry lookup conservatively report a read whenever a
-/// read and a write hit the same word in the same cycle.
-fn pack_pos(seg: u32, t: u64, write: bool) -> Option<u64> {
-    if t >> POS_T_BITS != 0 || seg >> (63 - POS_T_BITS - 1) != 0 {
-        return None;
-    }
-    Some((u64::from(seg) << (POS_T_BITS + 1)) | (t << 1) | u64::from(write))
-}
-
-/// One indexed word touch: `(key, pos)`, both packed.
-#[derive(Clone, Copy)]
-struct PointEntry {
-    key: u64,
-    pos: u64,
-}
-
-/// First-touch index over every recorded access, range events expanded
-/// to their constituent words.
-struct EventIndex {
-    /// Sorted by `(key, pos)`.
-    points: Vec<PointEntry>,
-    /// Set when some event exceeded the packing limits; adjudication
-    /// then refuses to trust the index and always falls back.
-    unindexable: bool,
-}
-
-impl EventIndex {
-    fn build(segs: &[crate::codec::SegmentEvents]) -> EventIndex {
-        // Expand per segment in parallel (a trace is tens of millions of
-        // word touches), then one parallel sort over the concatenation.
-        let per_seg: Vec<(Vec<PointEntry>, bool)> = segs
-            .par_iter()
-            .map(|se| {
-                let mut points = Vec::with_capacity(se.events.len());
-                let mut unindexable = false;
-                let mut push = |h: u8, inst: u32, word: u64, t: u64, write: bool| match (
-                    pack_key(h, inst, word),
-                    pack_pos(se.seg, t, write),
-                ) {
-                    (Some(key), Some(pos)) => points.push(PointEntry { key, pos }),
-                    _ => unindexable = true,
-                };
-                for ev in &se.events {
-                    match *ev {
-                        TraceEvent::Access {
-                            h,
-                            inst,
-                            word,
-                            t,
-                            write,
-                        } => push(h, inst, word, t, write),
-                        TraceEvent::Range {
-                            h,
-                            inst,
-                            start,
-                            len,
-                            t,
-                            write,
-                        } => {
-                            for w in start..start + u64::from(len) {
-                                push(h, inst, w, t, write);
-                            }
-                        }
-                        TraceEvent::HostRead { word } => {
-                            push(HwStructure::L2 as u8, 0, word, 0, false)
-                        }
-                        TraceEvent::Slot { .. } => {}
-                    }
-                }
-                (points, unindexable)
-            })
-            .collect();
-        let unindexable = per_seg.iter().any(|(_, u)| *u);
-        let mut points = Vec::with_capacity(per_seg.iter().map(|(p, _)| p.len()).sum());
-        for (p, _) in per_seg {
-            points.extend(p);
-        }
-        points.par_sort_unstable_by_key(|e| (e.key, e.pos));
-        EventIndex {
-            points,
-            unindexable,
-        }
-    }
-
-    /// First recorded touch of `(h, inst, word)` at-or-after `(seg, c)`:
-    /// `None` if never touched again, otherwise `Some(read)`. Reads sort
-    /// before writes at equal position, so a same-cycle read/write tie
-    /// conservatively reports a read.
-    fn first_touch(&self, h: u8, inst: u32, word: u64, seg: u32, c: u64) -> Option<bool> {
-        let key = pack_key(h, inst, word)?;
-        let pos = pack_pos(seg, c, false)?;
-        let i = self.points.partition_point(|e| (e.key, e.pos) < (key, pos));
-        match self.points.get(i) {
-            Some(e) if e.key == key => Some(e.pos & 1 == 0),
-            _ => None,
-        }
-    }
-}
-
-/// One CTA-slot occupancy transition, with its *effective* cycle: an
-/// initial (prefill) fill occupies from cycle 0, mid-run fills and
-/// frees take effect from `t + 1` (they happen in cycle `t`'s retire
-/// stage, after that cycle's fault application point).
-#[derive(Clone, Copy)]
-struct SlotEvent {
-    sm: u32,
-    slot: u32,
-    eff: u64,
-    fill: bool,
-}
-
-/// Per-launch replay info: geometry, retired cycle count, and the slot
-/// occupancy timeline needed to mirror the injector's population walk.
-pub struct LaunchInfo {
-    /// Global segment number of this launch (`2 * ordinal + 1`).
-    pub seg: u32,
-    pub geom: TraceGeometry,
-    /// Local cycles the launch ran for (golden).
-    pub cycles: u64,
-    slot_events: Vec<SlotEvent>,
-}
-
-impl LaunchInfo {
-    /// Total warps this launch executes (re-execution cost proxy).
-    pub fn warps(&self) -> u64 {
-        u64::from(self.geom.warps_per_cta) * u64::from(self.geom.total_ctas)
-    }
-
-    /// Which CTA slots hold a live CTA at the top of local cycle `c`.
-    fn live_slots(&self, num_sms: usize, c: u64) -> Vec<Vec<bool>> {
-        let mut live = vec![vec![false; self.geom.slots_per_sm as usize]; num_sms];
-        for ev in &self.slot_events {
-            if ev.eff <= c {
-                if let Some(s) = live
-                    .get_mut(ev.sm as usize)
-                    .and_then(|sm| sm.get_mut(ev.slot as usize))
-                {
-                    *s = ev.fill;
-                }
-            }
-        }
-        live
-    }
-}
+use vgpu_sim::{pattern_footprint, GpuConfig, HwStructure, LaunchTrace, Liveness, UarchFault};
 
 /// Why a trial could not be adjudicated dead and must re-execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +36,7 @@ pub enum FallbackReason {
     /// SIMT-stack / scheduler faults disturb control, not data.
     ControlState,
     /// No usable trace for the target site (missing launch, out-of-range
-    /// cycle, unindexable coordinates, incompatible line geometry).
+    /// cycle, incompatible line geometry).
     NoTrace,
 }
 
@@ -241,138 +72,60 @@ pub enum Verdict {
     Fallback { reason: FallbackReason, warps: u64 },
 }
 
-/// A fully indexed application trace.
+/// One application's liveness index, ready for adjudication.
 pub struct AppTrace {
-    blobs: Vec<Vec<u8>>,
-    launches: Vec<LaunchInfo>,
-    index: EventIndex,
-    /// Total encoded size of all segment blobs.
+    liveness: Liveness,
+    /// In-memory size of the index.
     pub bytes: u64,
-    /// Content fingerprint over the encoded blobs.
-    pub fingerprint: u64,
+}
+
+/// Record the replay trace for one application: run the golden pass with
+/// the lifetime tracker attached ([`kernels::golden_run_ace`], the same
+/// pass the ACE estimator runs) and keep its liveness index. The tracked
+/// pass is asserted bit-identical (outputs, costs, per-launch stats) to the
+/// already-captured `golden` baseline, so a trace can never silently
+/// desynchronise from the run it claims to describe.
+pub fn record_app_trace(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> AppTrace {
+    let run = kernels::golden_run_ace(bench, cfg);
+    let name = bench.name();
+    assert_eq!(
+        run.golden.output, golden.output,
+        "tracked pass of {name} diverged from golden output"
+    );
+    assert_eq!(run.golden.total_cost, golden.total_cost);
+    assert_eq!(run.golden.records.len(), golden.records.len());
+    for (t, p) in run.golden.records.iter().zip(&golden.records) {
+        assert_eq!(
+            t.stats, p.stats,
+            "tracked pass of {name} diverged from golden stats"
+        );
+    }
+    AppTrace::new(run.liveness)
 }
 
 impl AppTrace {
-    /// Decode and index a set of encoded segment blobs (in segment
-    /// order). Panics if any blob fails to round-trip — the blobs come
-    /// from our own encoder, so anything else is a codec bug.
-    pub fn from_blobs(blobs: Vec<Vec<u8>>) -> AppTrace {
-        let segs: Vec<crate::codec::SegmentEvents> = blobs
-            .par_iter()
-            .map(|b| {
-                let se = decode_segment_lossy(b).expect("trace blob header must decode");
-                assert!(se.complete, "trace blob must round-trip completely");
-                se
-            })
-            .collect();
-        Self::from_segments(blobs, &segs)
-    }
-
-    /// Index already-decoded segments against their encoded blobs. The
-    /// recorder calls this directly with the in-memory event stream it
-    /// just encoded, skipping the decode round trip (the codec's
-    /// encode↔decode fixpoint is property-tested separately).
-    pub fn from_segments(blobs: Vec<Vec<u8>>, segs: &[crate::codec::SegmentEvents]) -> AppTrace {
-        let mut launches = Vec::new();
-        for se in segs {
-            if let Some((geom, cycles)) = se.launch {
-                let slot_events = se
-                    .events
-                    .iter()
-                    .filter_map(|ev| match *ev {
-                        TraceEvent::Slot {
-                            sm,
-                            slot,
-                            t,
-                            fill,
-                            initial,
-                        } => Some(SlotEvent {
-                            sm,
-                            slot,
-                            eff: if fill && initial { 0 } else { t + 1 },
-                            fill,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                launches.push(LaunchInfo {
-                    seg: se.seg,
-                    geom,
-                    cycles,
-                    slot_events,
-                });
-            }
-        }
-        let index = EventIndex::build(segs);
-        let bytes = blobs.iter().map(|b| b.len() as u64).sum();
-        let fingerprint = fingerprint_blobs(&blobs);
-        AppTrace {
-            blobs,
-            launches,
-            index,
-            bytes,
-            fingerprint,
-        }
+    fn new(liveness: Liveness) -> AppTrace {
+        let bytes = liveness.bytes();
+        AppTrace { liveness, bytes }
     }
 
     /// Number of recorded launches.
     pub fn num_launches(&self) -> usize {
-        self.launches.len()
+        self.liveness.launches().len()
     }
 
-    /// Replay info for launch ordinal `k`.
-    pub fn launch(&self, k: usize) -> Option<&LaunchInfo> {
-        self.launches.get(k)
-    }
-
-    /// The encoded segment blobs, in segment order.
-    pub fn blobs(&self) -> &[Vec<u8>] {
-        &self.blobs
-    }
-
-    /// Persist one `.trace` artifact per segment into `dir`
-    /// (`seg-<k>.trace`), creating the directory if needed.
-    pub fn save_to_dir(&self, dir: &Path) -> IoResult<()> {
-        std::fs::create_dir_all(dir)?;
-        for (i, blob) in self.blobs.iter().enumerate() {
-            std::fs::write(dir.join(format!("seg-{i}.trace")), blob)?;
-        }
-        Ok(())
-    }
-
-    /// Load a trace saved by [`save_to_dir`](AppTrace::save_to_dir):
-    /// reads consecutive `seg-<k>.trace` files starting at 0 and
-    /// validates that every blob decodes completely.
-    pub fn load_from_dir(dir: &Path) -> IoResult<AppTrace> {
-        let mut blobs = Vec::new();
-        loop {
-            let path = dir.join(format!("seg-{}.trace", blobs.len()));
-            if !path.exists() {
-                break;
-            }
-            blobs.push(std::fs::read(&path)?);
-        }
-        if blobs.is_empty() {
-            return Err(Error::new(ErrorKind::NotFound, "no seg-0.trace in dir"));
-        }
-        for (i, b) in blobs.iter().enumerate() {
-            let ok = decode_segment_lossy(b).is_some_and(|se| se.complete && se.seg == i as u32);
-            if !ok {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!("seg-{i}.trace is corrupt or out of order"),
-                ));
-            }
-        }
-        Ok(AppTrace::from_blobs(blobs))
+    /// What the tracker recorded about launch ordinal `k`.
+    pub fn launch(&self, k: usize) -> Option<&LaunchTrace> {
+        self.liveness.launches().get(k)
     }
 
     /// Decide whether the trial `(launch ordinal, fault)` can be
-    /// adjudicated dead from the trace alone. Mirrors the injector's
-    /// site selection (`apply_uarch`) exactly: same population walk over
-    /// live CTA slots, same footprint expansion, same array geometry.
+    /// adjudicated dead from the liveness index alone. Mirrors the
+    /// injector's site selection (`apply_uarch`) exactly: same population
+    /// walk over live CTA slots, same footprint expansion, same array
+    /// geometry.
     pub fn adjudicate(&self, cfg: &GpuConfig, ordinal: usize, fault: &UarchFault) -> Verdict {
-        let Some(li) = self.launches.get(ordinal) else {
+        let Some(li) = self.launch(ordinal) else {
             return Verdict::Fallback {
                 reason: FallbackReason::NoTrace,
                 warps: 0,
@@ -380,21 +133,12 @@ impl AppTrace {
         };
         let warps = li.warps();
         let fallback = |reason| Verdict::Fallback { reason, warps };
-        if self.index.unindexable {
-            return fallback(FallbackReason::NoTrace);
-        }
         if fault.pattern.is_persistent() {
             return fallback(FallbackReason::Persistent);
         }
-        match fault.structure {
-            HwStructure::Simt | HwStructure::Sched => {
-                return fallback(FallbackReason::ControlState)
-            }
-            HwStructure::RegFile
-            | HwStructure::Smem
-            | HwStructure::L1D
-            | HwStructure::L1T
-            | HwStructure::L2 => {}
+        let h = fault.structure;
+        if matches!(h, HwStructure::Simt | HwStructure::Sched) {
+            return fallback(FallbackReason::ControlState);
         }
         let c = fault.cycle;
         if c >= li.cycles {
@@ -402,19 +146,18 @@ impl AppTrace {
             // the fault in post-launch state we did not model; punt.
             return fallback(FallbackReason::NoTrace);
         }
-        let seg_f = li.seg;
-        let h = fault.structure as u8;
-        let g = &li.geom;
-        match fault.structure {
+        let live = |inst: usize, word: u64| self.liveness.is_live(h, inst, word, li, c);
+        match h {
             HwStructure::RegFile | HwStructure::Smem => {
-                let is_rf = fault.structure == HwStructure::RegFile;
+                let is_rf = h == HwStructure::RegFile;
+                let g = &li.geom;
                 let per_cta = u64::from(if is_rf {
                     g.regs_per_cta
                 } else {
                     g.smem_words_per_cta
                 });
-                let live = li.live_slots(cfg.num_sms as usize, c);
-                let live_slots: u64 = live
+                let occupied = li.occupied_slots(cfg.num_sms as usize, c);
+                let live_slots: u64 = occupied
                     .iter()
                     .map(|sm| sm.iter().filter(|&&x| x).count() as u64)
                     .sum();
@@ -424,7 +167,7 @@ impl AppTrace {
                 }
                 let mut target = fault.loc_pick % population;
                 let mut site = None;
-                'walk: for (smi, sm) in live.iter().enumerate() {
+                'walk: for (smi, sm) in occupied.iter().enumerate() {
                     for (slot_idx, &occ) in sm.iter().enumerate() {
                         if !occ {
                             continue;
@@ -442,24 +185,22 @@ impl AppTrace {
                 } else {
                     cfg.smem_bytes_per_sm / 4
                 });
-                for (e, _mask) in
-                    pattern_footprint(fault.pattern, idx, fault.bit, arr_len, 32, WARP_SIZE as u64)
-                {
-                    if self.index.first_touch(h, smi as u32, e, seg_f, c) == Some(true) {
-                        return fallback(FallbackReason::LiveWord);
-                    }
+                let footprint =
+                    pattern_footprint(fault.pattern, idx, fault.bit, arr_len, 32, WARP_SIZE as u64);
+                if footprint.iter().any(|&(e, _)| live(smi, e)) {
+                    return fallback(FallbackReason::LiveWord);
                 }
                 Verdict::Dead { population }
             }
             HwStructure::L1D | HwStructure::L1T | HwStructure::L2 => {
-                let (geom, count) = match fault.structure {
+                let (geom, count) = match h {
                     HwStructure::L1D => (&cfg.l1d, u64::from(cfg.num_sms)),
                     HwStructure::L1T => (&cfg.l1t, u64::from(cfg.num_sms)),
                     _ => (&cfg.l2, 1),
                 };
                 let line_words = u64::from(cfg.l2.line_bytes / 4);
                 if u64::from(geom.line_bytes / 4) > line_words {
-                    // The recorder addresses cache words as
+                    // The tracker addresses cache words as
                     // `frame * (l2_line_bytes / 4) + offset`; a larger
                     // line would alias frames, so refuse to adjudicate.
                     return fallback(FallbackReason::NoTrace);
@@ -467,7 +208,7 @@ impl AppTrace {
                 let per = u64::from(geom.bytes);
                 let population = per * count * 8;
                 let byte = fault.loc_pick % (per * count);
-                let which = (byte / per) as u32;
+                let which = (byte / per) as usize;
                 let row = u64::from(geom.line_bytes);
                 let mut words: Vec<u64> =
                     pattern_footprint(fault.pattern, byte % per, fault.bit, per, 8, row)
@@ -476,10 +217,8 @@ impl AppTrace {
                         .collect();
                 words.sort_unstable();
                 words.dedup();
-                for w in words {
-                    if self.index.first_touch(h, which, w, seg_f, c) == Some(true) {
-                        return fallback(FallbackReason::LiveWord);
-                    }
+                if words.into_iter().any(|w| live(which, w)) {
+                    return fallback(FallbackReason::LiveWord);
                 }
                 Verdict::Dead { population }
             }
@@ -491,21 +230,24 @@ impl AppTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TraceBuilder;
-    use std::sync::{Arc, Mutex};
-    use vgpu_sim::{FaultPattern, LifetimeTracker, SharedSink};
+    use vgpu_sim::{FaultPattern, LaunchGeometry, LifetimeTracker};
+
+    fn geom() -> LaunchGeometry {
+        LaunchGeometry {
+            warps_per_cta: 2,
+            regs_per_cta: 64,
+            smem_words_per_cta: 8,
+            slots_per_sm: 2,
+            total_ctas: 3,
+        }
+    }
 
     /// Build an [`AppTrace`] by driving the lifetime-tracker hooks the
     /// timed engine calls, exactly as a golden pass would.
     fn trace_from_hooks(drive: impl FnOnce(&mut LifetimeTracker)) -> AppTrace {
-        let builder = Arc::new(Mutex::new(TraceBuilder::new()));
-        let sink: SharedSink = builder.clone();
-        let mut tr = LifetimeTracker::trace_only(&cfg());
-        tr.set_sink(sink);
+        let mut tr = LifetimeTracker::new(&cfg());
         drive(&mut tr);
-        drop(tr);
-        let mut b = builder.lock().unwrap();
-        b.finish()
+        AppTrace::new(tr.finish(|_| false).1)
     }
 
     /// One launch (geometry: 2 warps and 64 registers per CTA, 2 slots
@@ -515,7 +257,7 @@ mod tests {
     /// untouched after the zero-fill. The host then reads L2 word 5.
     fn tiny_trace() -> AppTrace {
         trace_from_hooks(|tr| {
-            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.launch_begin(geom());
             tr.cta_fill(0, 0, 64, 0, 8, 0);
             tr.slot_fill(0, 0, 0, true);
             tr.reg_write(0, 10, 2);
@@ -658,7 +400,7 @@ mod tests {
     #[test]
     fn host_read_keeps_l2_word_live() {
         let tr = trace_from_hooks(|tr| {
-            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.launch_begin(geom());
             tr.slot_fill(0, 0, 0, true);
             tr.cache_write(HwStructure::L2, 0, 0, 5, 1);
             tr.launch_end(10);
@@ -693,7 +435,7 @@ mod tests {
         // read sorts first, so a flip landing at or before that cycle —
         // after the previous write — is conservatively live.
         let tr = trace_from_hooks(|tr| {
-            tr.launch_begin(2, 64, 8, 2, 3);
+            tr.launch_begin(geom());
             tr.cta_fill(0, 0, 64, 0, 8, 0);
             tr.slot_fill(0, 0, 0, true);
             tr.reg_write(0, 7, 2);
@@ -722,17 +464,5 @@ mod tests {
                 "cycle {cycle}"
             );
         }
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let tr = tiny_trace();
-        let dir = std::env::temp_dir().join(format!("trace-test-{}", std::process::id()));
-        tr.save_to_dir(&dir).unwrap();
-        let back = AppTrace::load_from_dir(&dir).unwrap();
-        assert_eq!(back.fingerprint, tr.fingerprint);
-        assert_eq!(back.bytes, tr.bytes);
-        assert_eq!(back.num_launches(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,9 +6,8 @@ use crate::config::GpuConfig;
 pub use crate::due::LaunchAbort;
 use crate::fault::{SwInjector, UarchInjector};
 use crate::functional::run_functional;
-use crate::lifetime::LifetimeTracker;
+use crate::lifetime::{LifetimeTracker, Liveness};
 use crate::mem::GlobalMem;
-use crate::probe::SharedSink;
 use crate::snapshot::{ConvergeWith, DeviceSnapshot, ResumeOutcome, SimSnapshot};
 use crate::stats::Stats;
 use crate::timed::{run_timed, run_timed_ctl, TimedCtl};
@@ -107,30 +106,11 @@ impl Gpu {
         self.tracker = Some(LifetimeTracker::new(&self.cfg));
     }
 
-    /// Enable trace recording for subsequent timed launches: attaches a
-    /// lifetime tracker (so every engine hook fires) and mirrors the hook
-    /// stream into `sink` (`crates/trace`'s recorder). Like
-    /// [`Gpu::attach_tracker`], must precede the first launch.
-    pub fn attach_trace_sink(&mut self, sink: SharedSink) {
-        assert_eq!(
-            self.mode,
-            Mode::Timed,
-            "trace recording requires the timed engine"
-        );
-        // Forwarding-only tracker: the recorder needs the hook stream,
-        // not the ACE interval accounting, and skipping the latter keeps
-        // the traced pass cheap (docs/TRACE.md).
-        let mut tr = LifetimeTracker::trace_only(&self.cfg);
-        tr.set_sink(sink);
-        self.tracker = Some(tr);
-    }
-
-    /// Record a host-side word read against an attached probe sink: if
-    /// `addr` is L2-resident, the peek is forwarded as a
-    /// [`ProbeEvent::HostRead`](crate::probe::ProbeEvent) so the trace
-    /// knows the word's value propagated to the host (classification or
-    /// inter-launch glue). No-op without a tracker or outside timed mode.
-    pub fn probe_host_read(&mut self, addr: u32) {
+    /// Record a host-side word read against an attached tracker: if
+    /// `addr` is L2-resident, its value reached the host (classification
+    /// or inter-launch glue), which the liveness index counts as a read.
+    /// No-op without a tracker or outside timed mode.
+    pub fn track_host_read(&mut self, addr: u32) {
         if self.mode != Mode::Timed {
             return;
         }
@@ -157,13 +137,12 @@ impl Gpu {
     }
 
     /// Close every surviving L2 interval (dirty lines count live up to
-    /// now), detach the tracker, and return the final per-structure ACE
-    /// word-cycle totals.
-    pub fn finish_tracker(&mut self) -> Option<[u64; 5]> {
-        let mut tr = self.tracker.take()?;
+    /// now), detach the tracker, and return what it measured: final
+    /// per-structure ACE word-cycle totals and the liveness index.
+    pub fn finish_tracker(&mut self) -> Option<([u64; 5], Liveness)> {
+        let tr = self.tracker.take()?;
         let l2 = &self.l2;
-        tr.finalize_l2(|line| l2.line_dirty(line));
-        Some(tr.ace_word_cycles())
+        Some(tr.finish(|line| l2.line_dirty(line)))
     }
 
     /// Launch a kernel. Returns per-launch statistics, or the abort cause

@@ -31,7 +31,6 @@ pub mod functional;
 pub mod gpu;
 pub mod lifetime;
 pub mod mem;
-pub mod probe;
 pub mod snapshot;
 pub mod stats;
 pub mod timed;
@@ -44,8 +43,7 @@ pub use fault::{
     SwFault, SwFaultKind, SwInjector, SwStuck, UarchFault, UarchInjector, BURST_COL_ROWS,
 };
 pub use gpu::{Budget, FaultPlan, Gpu, LaunchAbort, Mode};
-pub use lifetime::LifetimeTracker;
+pub use lifetime::{LaunchGeometry, LaunchTrace, LifetimeTracker, Liveness};
 pub use mem::{ArenaPlanner, GlobalMem};
-pub use probe::{ProbeEvent, SharedSink, TraceSink};
 pub use snapshot::{ConvergeWith, DeviceSnapshot, ResumeOutcome, SimSnapshot};
 pub use stats::{CacheStats, Stats};

@@ -15,7 +15,7 @@ use crate::fault::{
     apply_stuck, pattern_footprint, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
     UarchInjector,
 };
-use crate::lifetime::{CacheAce, LifetimeTracker};
+use crate::lifetime::{CacheAce, LaunchGeometry, LifetimeTracker};
 use crate::mem::GlobalMem;
 use crate::snapshot::{ConvergeWith, SimSnapshot};
 use crate::stats::{CacheStats, Stats};
@@ -676,13 +676,13 @@ pub(crate) fn run_timed_ctl(
     let num_sms = cfg.num_sms as usize;
     let total_ctas = lc.num_ctas();
     if let Some(tr) = ace.as_deref_mut() {
-        tr.launch_begin(
-            g.wpc,
-            g.regs_per_cta,
-            g.smem_words_per_cta,
-            g.slots_per_sm,
-            total_ctas as u32,
-        );
+        tr.launch_begin(LaunchGeometry {
+            warps_per_cta: g.wpc,
+            regs_per_cta: g.regs_per_cta,
+            smem_words_per_cta: g.smem_words_per_cta,
+            slots_per_sm: g.slots_per_sm,
+            total_ctas: total_ctas as u32,
+        });
     }
     let capture_at = ctl.capture_at;
     let mut converge = ctl.converge.take();

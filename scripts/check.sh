@@ -17,6 +17,9 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (criterion benches must compile)"
 cargo bench --no-run -q
 
+echo "==> perfbench self-tests (the repo benchmark builds against the workspace API)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> campaign shard-merge + fast-forward smoke"
 cargo run --release -q -p bench --bin campaign -- smoke
 
