@@ -244,7 +244,7 @@ struct SlotEvent {
 pub struct LaunchTrace {
     pub geom: LaunchGeometry,
     /// Global cycle of the launch's local cycle 0.
-    pub base: u64,
+    base: u64,
     /// Local cycles the launch ran for.
     pub cycles: u64,
     slots: Vec<SlotEvent>,
