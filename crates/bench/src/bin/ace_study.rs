@@ -24,8 +24,9 @@
 use std::process::exit;
 
 use ace::{estimate_app, spearman, AceAppEstimate, CompareRow};
-use bench::{finish_observability, init_observability, parse_structures, results_dir};
-use kernels::{all_benchmarks, Benchmark};
+use bench::cli::{die, fail, find_app, Args};
+use bench::{finish_observability, init_observability, results_dir};
+use kernels::Benchmark;
 use obs::Phase;
 use relia::{run_uarch_campaign, CampaignCfg, Table};
 use vgpu_sim::{GpuConfig, HwStructure};
@@ -34,88 +35,31 @@ const REF_CSV: &str = "ace_injection_ref.csv";
 const REF_META_CSV: &str = "ace_injection_ref_meta.csv";
 const FIG_CSV: &str = "fig_ace_vs_avf.csv";
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2);
-}
-
 struct Opts {
-    apps: Option<String>,
+    benches: Vec<Box<dyn Benchmark>>,
     structures: Vec<HwStructure>,
     cfg: CampaignCfg,
     make_ref: bool,
     check: bool,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        apps: None,
-        structures: HwStructure::ALL.to_vec(),
-        cfg: CampaignCfg::new(250, 250, 0xC0FF_EE00),
-        make_ref: false,
-        check: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--make-ref" => {
-                o.make_ref = true;
-                i += 1;
-                continue;
-            }
-            "--check" => {
-                o.check = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--apps" => o.apps = Some(v.clone()),
-            "--structures" => {
-                o.structures = parse_structures(v).unwrap_or_else(|e| die(&e));
-            }
-            "--n-uarch" => o.cfg.n_uarch = parse_num("--n-uarch") as usize,
-            "--seed" => o.cfg.seed = parse_num("--seed"),
-            "--sms" => o.cfg.gpu = GpuConfig::volta_scaled(parse_num("--sms") as u32),
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 2;
+fn parse_opts(args: &mut Args) -> Opts {
+    let mut cfg = CampaignCfg::new(args.num("--n-uarch").unwrap_or(250), 250, 0xC0FF_EE00);
+    if let Some(seed) = args.num("--seed") {
+        cfg.seed = seed;
     }
-    o
-}
-
-/// Suite subset in canonical (figure) order, regardless of `--apps` order.
-fn select_benches(spec: Option<&str>) -> Vec<Box<dyn Benchmark>> {
-    let all = all_benchmarks();
-    let Some(spec) = spec else {
-        return all;
-    };
-    let wanted: Vec<String> = spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    for w in &wanted {
-        if !all.iter().any(|b| b.name().eq_ignore_ascii_case(w)) {
-            let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-            die(&format!(
-                "unknown app {w:?}; available: {}",
-                names.join(", ")
-            ));
-        }
+    if let Some(gpu) = args.gpu() {
+        cfg.gpu = gpu;
     }
-    all.into_iter()
-        .filter(|b| wanted.iter().any(|w| b.name().eq_ignore_ascii_case(w)))
-        .collect()
+    Opts {
+        benches: args.apps(),
+        structures: args
+            .structures()
+            .unwrap_or_else(|| HwStructure::ALL.to_vec()),
+        cfg,
+        make_ref: args.flag("--make-ref"),
+        check: args.flag("--check"),
+    }
 }
 
 fn ace_run_ns() -> u64 {
@@ -129,7 +73,6 @@ fn all_phase_ns() -> u64 {
 /// One `--n-uarch` injection campaign per app; records per-(kernel,
 /// structure) injection AVF and per-app campaign wall time.
 fn cmd_make_ref(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
     let mut refs = Table::new(
         format!(
             "Injection AVF reference (n={} per structure, seed {:#x})",
@@ -148,7 +91,7 @@ fn cmd_make_ref(o: &Opts) {
             "sms",
         ],
     );
-    for b in &benches {
+    for b in &o.benches {
         eprintln!("[make-ref] {} (n={})...", b.name(), o.cfg.n_uarch);
         let t0 = all_phase_ns();
         let res = run_uarch_campaign(b.as_ref(), &o.cfg, false);
@@ -199,11 +142,10 @@ fn read_csv_rows(name: &str) -> Option<Vec<Vec<String>>> {
 }
 
 fn cmd_estimate(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
     let gpu = &o.cfg.gpu;
     let mut estimates: Vec<AceAppEstimate> = Vec::new();
     let mut ace_wall_ms: Vec<(String, f64)> = Vec::new();
-    for b in &benches {
+    for b in &o.benches {
         let t0 = ace_run_ns();
         let est = estimate_app(b.as_ref(), gpu);
         ace_wall_ms.push((est.app.clone(), (ace_run_ns() - t0) as f64 / 1e6));
@@ -325,17 +267,17 @@ fn cmd_estimate(o: &Opts) {
 /// `results/`.
 fn cmd_smoke() {
     let gpu = GpuConfig::volta_scaled(2);
-    let bench = select_benches(Some("VA")).pop().unwrap();
+    let bench = find_app("VA");
     let a = estimate_app(bench.as_ref(), &gpu);
     let b = estimate_app(bench.as_ref(), &gpu);
     if a != b {
-        die("smoke failed: estimates differ across reruns");
+        fail("smoke failed: estimates differ across reruns");
     }
     if a.kernels[0].avf(&gpu, HwStructure::RegFile) <= 0.0 {
-        die("smoke failed: zero RF analytic AVF");
+        fail("smoke failed: zero RF analytic AVF");
     }
     if a.events == 0 {
-        die("smoke failed: tracker recorded no events");
+        fail("smoke failed: tracker recorded no events");
     }
     // Perfect self-agreement sanity for the comparison machinery.
     let avfs: Vec<f64> = HwStructure::ALL
@@ -343,7 +285,7 @@ fn cmd_smoke() {
         .map(|&h| a.kernels[0].avf(&gpu, h))
         .collect();
     if spearman(&avfs, &avfs) != Some(1.0) {
-        die("smoke failed: self-spearman != 1");
+        fail("smoke failed: self-spearman != 1");
     }
     println!(
         "smoke ok: VA analytic chip AVF {:.4}%, {} lifetime events, deterministic",
@@ -353,13 +295,14 @@ fn cmd_smoke() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("smoke") {
+    let mut args = Args::from_env();
+    if args.leading("smoke") {
+        args.finish();
         cmd_smoke();
         return;
     }
-    let o = parse_opts(&args);
-    init_observability();
+    let o = parse_opts(&mut args);
+    init_observability(args);
     // Phase timings back the speedup table, so always collect them here.
     obs::set_enabled(true);
     if o.make_ref {

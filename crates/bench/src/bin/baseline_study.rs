@@ -8,21 +8,23 @@
 //! * **Table I** — consistent/opposite trend counts over all pairs
 //!   (`results/tab1_trends.csv`).
 //!
-//! Options: `--n-uarch N --n-sw N --seed S --sms N --events PATH`,
-//! watchdog: `--wall-limit-us N --cycle-limit N --no-retry`
+//! Options: `--n-uarch N --n-sw N --seed S --sms N --fault-model PATTERN
+//! --backend timed|replay --events PATH`, watchdog: `--wall-limit-us N
+//! --cycle-limit N --no-retry`
 //! (docs/CAMPAIGNS.md; plus the `RELIA_EVENTS` / `RELIA_METRICS` /
 //! `RELIA_PROGRESS` environment switches — see
 //! `bench::init_observability`).
 
-use bench::{
-    cli_campaign_cfg, finish_observability, init_observability, results_dir, run_baseline,
-};
+use bench::cli::Args;
+use bench::{finish_observability, init_observability, results_dir, run_baseline};
 use relia::{compare_pairs, error_margin, pct, pct4, Confidence, Table, TrendItem};
 use vgpu_sim::HwStructure;
 
 fn main() {
-    init_observability();
-    let cfg = cli_campaign_cfg(300, 300);
+    let mut args = Args::from_env();
+    let cfg = args.campaign_cfg(300, 300);
+    let backend = args.backend();
+    init_observability(args);
     eprintln!(
         "n_uarch={} (±{:.2}% @99%), n_sw={} (±{:.2}% @99%)",
         cfg.n_uarch,
@@ -30,7 +32,7 @@ fn main() {
         cfg.n_sw,
         error_margin(cfg.n_sw, Confidence::C99) * 100.0
     );
-    let base = run_baseline(&cfg);
+    let base = run_baseline(&cfg, backend);
     let dir = results_dir();
 
     // ---- Figure 1: application level --------------------------------

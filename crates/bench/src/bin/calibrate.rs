@@ -6,6 +6,7 @@ use std::time::Instant;
 use vgpu_sim::GpuConfig;
 
 fn main() {
+    bench::cli::Args::from_env().finish();
     let cfg = GpuConfig::default();
     println!(
         "{:<12} {:>10} {:>12} {:>10} {:>12} {:>10}",

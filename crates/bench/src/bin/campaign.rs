@@ -51,10 +51,12 @@
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::time::Duration;
 
-use bench::{finish_observability, init_observability, parse_structures};
+use bench::cli::{die, fail, find_app, Args};
+use bench::{finish_observability, init_observability};
 use dispatch::{plan_strata, CampaignSpec, DispatchCfg, TelemetryCfg, WaveSpec, WorkerCfg};
-use kernels::{all_benchmarks, Benchmark};
+use kernels::Benchmark;
 use relia::checkpoint::CheckpointHeader;
 use relia::plan::{
     prepare_sw_campaign, prepare_uarch_campaign_structures, Layer, PreparedCampaign, TrialTarget,
@@ -64,21 +66,9 @@ use relia::{
     CampaignCfg, EngineBackend, EngineCfg, EngineError, Table, TrialRecord, Watchdog,
 };
 use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
-use vgpu_sim::{FaultPattern, HwStructure};
+use vgpu_sim::HwStructure;
 
-/// CLI/validation error: bad flags, bad values, malformed addresses.
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2);
-}
-
-/// Runtime failure: the request was well-formed but executing it failed.
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(1);
-}
-
-/// Everything both `run` and `merge` need to rebuild the plan.
+/// Everything `run`, `merge` and `serve` need to rebuild the plan.
 struct CommonOpts {
     app: Option<String>,
     layer: Layer,
@@ -88,111 +78,44 @@ struct CommonOpts {
     structures: Option<Vec<HwStructure>>,
     /// `--csv PATH`: also write the assembled result table as CSV.
     csv: Option<PathBuf>,
-    /// Non-flag positional arguments (merge's shard files).
-    positional: Vec<String>,
 }
 
-fn parse_common(args: &[String]) -> CommonOpts {
-    let mut o = CommonOpts {
-        app: None,
-        layer: Layer::Uarch,
-        cfg: CampaignCfg::new(100, 100, 0xC0FF_EE00),
-        hardened: false,
-        structures: None,
-        csv: None,
-        positional: Vec::new(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--hardened" => {
-                o.hardened = true;
-                i += 1;
-                continue;
-            }
-            "--no-retry" => {
-                o.cfg.watchdog.retry_on_panic = false;
-                i += 1;
-                continue;
-            }
-            a if !a.starts_with("--") => {
-                o.positional.push(a.to_string());
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--app" => o.app = Some(v.clone()),
-            "--layer" => {
-                o.layer = Layer::from_label(v)
+impl CommonOpts {
+    fn parse(args: &mut Args) -> CommonOpts {
+        let n = args.num("--n").unwrap_or(100);
+        let mut cfg = CampaignCfg::new(n, n, 0xC0FF_EE00);
+        args.campaign_knobs(&mut cfg);
+        let o = CommonOpts {
+            app: args.value("--app"),
+            layer: args.value("--layer").map_or(Layer::Uarch, |v| {
+                Layer::from_label(&v)
                     .unwrap_or_else(|| die(&format!("--layer must be uarch or sw, got {v:?}")))
-            }
-            "--n" => {
-                let n = parse_num("--n") as usize;
-                o.cfg.n_uarch = n;
-                o.cfg.n_sw = n;
-            }
-            "--seed" => o.cfg.seed = parse_num("--seed"),
-            "--sms" => o.cfg.gpu = vgpu_sim::GpuConfig::volta_scaled(parse_num("--sms") as u32),
-            "--wall-limit-us" => o.cfg.watchdog.wall_us_limit = Some(parse_num("--wall-limit-us")),
-            "--cycle-limit" => o.cfg.watchdog.cycle_limit = Some(parse_num("--cycle-limit")),
-            "--structures" => o.structures = Some(parse_structures(v).unwrap_or_else(|e| die(&e))),
-            "--fault-model" => {
-                o.cfg.pattern = FaultPattern::from_label(v).unwrap_or_else(|| {
-                    let known: Vec<&str> = FaultPattern::ALL.iter().map(|p| p.label()).collect();
-                    die(&format!(
-                        "--fault-model must be one of {}, got {v:?}",
-                        known.join(", ")
-                    ))
-                })
-            }
-            "--csv" => o.csv = Some(PathBuf::from(v)),
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
+            }),
+            cfg,
+            hardened: args.flag("--hardened"),
+            structures: args.structures(),
+            csv: args.value("--csv").map(PathBuf::from),
+        };
+        if o.structures.is_some() && o.layer == Layer::Sw {
+            die("--structures only applies to --layer uarch");
         }
-        i += 2;
-    }
-    if o.structures.is_some() && o.layer == Layer::Sw {
-        die("--structures only applies to --layer uarch");
-    }
-    // SIMT-stack and scheduler state is ephemeral: a transient flip there
-    // is just one corrupted access, which the storage structures already
-    // model. Only the persistent stuck-at patterns target them.
-    if let Some(structures) = &o.structures {
-        if structures
-            .iter()
-            .any(|h| matches!(h, HwStructure::Simt | HwStructure::Sched))
-            && !o.cfg.pattern.is_persistent()
-        {
-            die(&format!(
-                "--structures SIMT/SCHED requires a stuck-at fault model \
-                 (--fault-model stuck-at-0 or stuck-at-1), got {}",
-                o.cfg.pattern.label()
-            ));
+        // SIMT-stack and scheduler state is ephemeral: a transient flip there
+        // is just one corrupted access, which the storage structures already
+        // model. Only the persistent stuck-at patterns target them.
+        if let Some(structures) = &o.structures {
+            if structures
+                .iter()
+                .any(|h| matches!(h, HwStructure::Simt | HwStructure::Sched))
+                && !o.cfg.pattern.is_persistent()
+            {
+                die(&format!(
+                    "--structures SIMT/SCHED requires a stuck-at fault model \
+                     (--fault-model stuck-at-0 or stuck-at-1), got {}",
+                    o.cfg.pattern.label()
+                ));
+            }
         }
-    }
-    o
-}
-
-fn find_bench(name: &str) -> Box<dyn Benchmark> {
-    let mut all = all_benchmarks();
-    match all.iter().position(|b| b.name().eq_ignore_ascii_case(name)) {
-        Some(i) => all.swap_remove(i),
-        None => {
-            let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-            die(&format!(
-                "unknown app {name:?}; available: {}",
-                names.join(", ")
-            ));
-        }
+        o
     }
 }
 
@@ -278,43 +201,6 @@ fn print_result(prep: &PreparedCampaign, records: &[TrialRecord], csv: Option<&P
     println!("result fingerprint: {:#018x}", records_fingerprint(records));
 }
 
-/// Raw `--adaptive` flag values as peeled off a subcommand's argument
-/// list (`None`/`false` = flag absent).
-#[derive(Default)]
-struct AdaptiveOpts {
-    adaptive: bool,
-    ci_target: Option<f64>,
-    wave_size: Option<usize>,
-    max_trials: Option<usize>,
-}
-
-impl AdaptiveOpts {
-    /// Fold the adaptive flags into an [`AdaptiveCfg`], rejecting
-    /// adaptive-only flags without `--adaptive` and any configuration
-    /// that cannot drive a terminating campaign (both exit 2).
-    fn into_cfg(self) -> Option<AdaptiveCfg> {
-        if !self.adaptive {
-            for (flag, given) in [
-                ("--ci-target", self.ci_target.is_some()),
-                ("--wave-size", self.wave_size.is_some()),
-                ("--max-trials", self.max_trials.is_some()),
-            ] {
-                if given {
-                    die(&format!("{flag} requires --adaptive"));
-                }
-            }
-            return None;
-        }
-        let acfg = AdaptiveCfg::new(
-            self.ci_target.unwrap_or(0.05),
-            self.wave_size.unwrap_or(16),
-            self.max_trials.unwrap_or(256),
-        );
-        acfg.validate().unwrap_or_else(|e| die(&e));
-        Some(acfg)
-    }
-}
-
 /// The stratification an adaptive campaign sizes: kernel × structure for
 /// the uarch layer (respecting `--structures`), kernel × software fault
 /// kind for the sw layer.
@@ -392,71 +278,24 @@ fn print_adaptive(
     println!("result fingerprint: {:#018x}", res.records_fp);
 }
 
-fn cmd_run(args: &[String]) {
-    let mut shards = 1usize;
-    let mut shard_index = 0usize;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut every = relia::DEFAULT_CHECKPOINT_EVERY;
-    let mut limit: Option<usize> = None;
-    let mut fast_forward = true;
-    let mut snapshots = relia::DEFAULT_SNAPSHOTS;
-    let mut backend = EngineBackend::Timed;
-    // Peel off run-specific flags, forward the rest to the common parser.
-    fn value(args: &[String], i: usize) -> &str {
-        args.get(i + 1)
-            .unwrap_or_else(|| die(&format!("option {} requires a value", args[i])))
-    }
-    fn num(args: &[String], i: usize) -> u64 {
-        let v = value(args, i);
-        v.parse()
-            .unwrap_or_else(|_| die(&format!("{} takes a number, got {v:?}", args[i])))
-    }
-    let mut adaptive = AdaptiveOpts::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--no-fast-forward" => {
-                fast_forward = false;
-                i += 1;
-                continue;
-            }
-            "--adaptive" => {
-                adaptive.adaptive = true;
-                i += 1;
-                continue;
-            }
-            "--shards" => shards = num(args, i) as usize,
-            "--shard-index" => shard_index = num(args, i) as usize,
-            "--checkpoint-every" => every = num(args, i) as usize,
-            "--limit" => limit = Some(num(args, i) as usize),
-            "--snapshots" => snapshots = num(args, i) as usize,
-            "--backend" => backend = parse_backend(value(args, i)),
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value(args, i))),
-            "--resume" => resume = Some(PathBuf::from(value(args, i))),
-            "--ci-target" => {
-                let v = value(args, i);
-                adaptive.ci_target =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        die(&format!("--ci-target takes a number, got {v:?}"))
-                    }));
-            }
-            "--wave-size" => adaptive.wave_size = Some(num(args, i) as usize),
-            "--max-trials" => adaptive.max_trials = Some(num(args, i) as usize),
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    let adaptive = adaptive.into_cfg();
-    let o = parse_common(&rest);
-    if !o.positional.is_empty() {
-        die(&format!("unexpected argument {:?}", o.positional[0]));
-    }
+fn cmd_run(mut args: Args) {
+    let adaptive = args.adaptive();
+    let eng = EngineCfg {
+        shards: args.num("--shards").unwrap_or(1),
+        shard_index: args.num("--shard-index").unwrap_or(0),
+        checkpoint: args.value("--checkpoint").map(PathBuf::from),
+        checkpoint_every: args
+            .num("--checkpoint-every")
+            .unwrap_or(relia::DEFAULT_CHECKPOINT_EVERY),
+        resume: args.value("--resume").map(PathBuf::from),
+        trial_limit: args.num("--limit"),
+        fast_forward: !args.flag("--no-fast-forward"),
+        snapshots: args.num("--snapshots").unwrap_or(relia::DEFAULT_SNAPSHOTS),
+        backend: args.backend(),
+    };
+    let o = CommonOpts::parse(&mut args);
+    init_observability(args);
+    let (shards, shard_index) = (eng.shards, eng.shard_index);
     if shards == 0 {
         die("--shards must be at least 1");
     }
@@ -469,14 +308,14 @@ fn cmd_run(args: &[String]) {
     let Some(app) = &o.app else {
         die("run requires --app NAME");
     };
-    if backend == EngineBackend::Replay && !fast_forward {
+    if eng.backend == EngineBackend::Replay && !eng.fast_forward {
         die(
             "--backend replay requires fast-forward: replay adjudicates against the \
              golden trace and re-executes fallback trials from its snapshots \
              (drop --no-fast-forward)",
         );
     }
-    let bench = find_bench(app);
+    let bench = find_app(app);
     if let Some(acfg) = adaptive {
         if shards != 1 || shard_index != 0 {
             die(
@@ -484,32 +323,10 @@ fn cmd_run(args: &[String]) {
                  with serve --adaptive + work --follow instead of --shards",
             );
         }
-        run_adaptive_cli(
-            bench.as_ref(),
-            &o,
-            &acfg,
-            checkpoint,
-            resume,
-            every,
-            limit,
-            fast_forward,
-            snapshots,
-            backend,
-        );
+        run_adaptive_cli(bench.as_ref(), &o, &acfg, &eng);
         return;
     }
     let prep = prepare(bench.as_ref(), &o);
-    let eng = EngineCfg {
-        shards,
-        shard_index,
-        checkpoint,
-        checkpoint_every: every,
-        resume,
-        trial_limit: limit,
-        fast_forward,
-        snapshots,
-        backend,
-    };
     eprintln!(
         "[campaign] {} {} plan: {} trials, fingerprint {:#018x}, shard {}/{} ({} trials)",
         prep.plan.app,
@@ -554,19 +371,8 @@ fn cmd_run(args: &[String]) {
 /// *new* trials this invocation executes (the kill-mid-wave test hook):
 /// when the budget runs out mid-wave the run exits 0 with a resumable
 /// checkpoint, exactly like a fixed-n sharded run.
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_cli(
-    bench: &dyn Benchmark,
-    o: &CommonOpts,
-    acfg: &AdaptiveCfg,
-    checkpoint: Option<PathBuf>,
-    resume: Option<PathBuf>,
-    every: usize,
-    limit: Option<usize>,
-    fast_forward: bool,
-    snapshots: usize,
-    backend: EngineBackend,
-) {
+/// Each wave runs `eng` with its own journal paths and remaining budget.
+fn run_adaptive_cli(bench: &dyn Benchmark, o: &CommonOpts, acfg: &AdaptiveCfg, eng: &EngineCfg) {
     let targets = adaptive_targets(o);
     eprintln!(
         "[campaign] {} {} adaptive: {} kernels x {} targets, CI target ±{}, wave size {}, \
@@ -588,8 +394,9 @@ fn run_adaptive_cli(
         &targets,
         acfg,
         |prep, wave| {
-            let ck = checkpoint.as_ref().map(|b| wave_path(b, wave));
-            let rs = resume
+            let ck = eng.checkpoint.as_ref().map(|b| wave_path(b, wave));
+            let rs = eng
+                .resume
                 .as_ref()
                 .map(|b| wave_path(b, wave))
                 .filter(|p| p.exists());
@@ -603,21 +410,16 @@ fn run_adaptive_cli(
                     .len(),
                 None => 0,
             };
-            let eng = EngineCfg {
-                shards: 1,
-                shard_index: 0,
+            let wave_eng = EngineCfg {
                 checkpoint: ck,
-                checkpoint_every: every,
                 resume: rs,
-                trial_limit: limit.map(|l| l.saturating_sub(executed_new)),
-                fast_forward,
-                snapshots,
-                backend,
+                trial_limit: eng.trial_limit.map(|l| l.saturating_sub(executed_new)),
+                ..eng.clone()
             };
-            let records = match execute_shard(prep, &eng) {
+            let records = match execute_shard(prep, &wave_eng) {
                 Ok(r) => r,
                 Err(EngineError::AlreadyComplete { .. }) => {
-                    let p = eng
+                    let p = wave_eng
                         .resume
                         .as_ref()
                         .expect("AlreadyComplete implies a resume journal");
@@ -645,20 +447,22 @@ fn run_adaptive_cli(
     print_adaptive(bench, &res, acfg, o.csv.as_deref());
 }
 
-fn cmd_merge(args: &[String]) {
-    let o = parse_common(args);
-    if o.positional.is_empty() {
+fn cmd_merge(mut args: Args) {
+    let o = CommonOpts::parse(&mut args);
+    let files = args.positionals();
+    init_observability(args);
+    if files.is_empty() {
         die("merge requires at least one shard checkpoint file");
     }
     let Some(app) = &o.app else {
         die("merge requires --app NAME (to rebuild the plan)");
     };
-    let bench = find_bench(app);
+    let bench = find_app(app);
     let prep = prepare(bench.as_ref(), &o);
     let expect = CheckpointHeader::for_plan(&prep.plan, 1, 0);
     let mut records = Vec::new();
     let mut first: Option<CheckpointHeader> = None;
-    for path in &o.positional {
+    for path in &files {
         let ck = load_checkpoint(std::path::Path::new(path))
             .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         if ck.header.fingerprint != expect.fingerprint {
@@ -671,10 +475,7 @@ fn cmd_merge(args: &[String]) {
         match &first {
             None => first = Some(ck.header.clone()),
             Some(h) if !h.same_plan(&ck.header) => {
-                fail(&format!(
-                    "{path}: shard header disagrees with {}",
-                    o.positional[0]
-                ));
+                fail(&format!("{path}: shard header disagrees with {}", files[0]));
             }
             _ => {}
         }
@@ -692,11 +493,12 @@ fn cmd_merge(args: &[String]) {
 
 /// Tiny end-to-end gate for scripts/check.sh: a 2-shard run through real
 /// checkpoint files must merge to the single-shot result.
-fn cmd_smoke() {
+fn cmd_smoke(args: Args) {
+    init_observability(args);
     let dir = std::env::temp_dir().join(format!("relia_campaign_smoke_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = CampaignCfg::new(6, 6, 0x5A5A);
-    let bench = find_bench("VA");
+    let bench = find_app("VA");
     for (layer, label) in [(Layer::Uarch, "uarch"), (Layer::Sw, "sw")] {
         let o = CommonOpts {
             app: Some("VA".into()),
@@ -705,7 +507,6 @@ fn cmd_smoke() {
             hardened: false,
             structures: None,
             csv: None,
-            positional: Vec::new(),
         };
         let prep = prepare(bench.as_ref(), &o);
         let single = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
@@ -792,7 +593,7 @@ fn cmd_smoke() {
     // the same campaign with every wave split over 3 in-process shards —
     // wave plans, records, and convergence trajectory, byte for byte.
     let acfg = AdaptiveCfg::new(0.15, 6, 24);
-    let bench = find_bench("VA");
+    let bench = find_app("VA");
     let single = stat::run_adaptive_single(
         bench.as_ref(),
         &cfg,
@@ -834,15 +635,6 @@ fn cmd_smoke() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parse `--backend` (uniform exit-2 policy on unknown labels).
-fn parse_backend(label: &str) -> EngineBackend {
-    EngineBackend::from_label(label).unwrap_or_else(|| {
-        die(&format!(
-            "--backend must be one of timed, replay; got {label:?}"
-        ))
-    })
-}
-
 /// Validate a `HOST:PORT` address from the CLI. Hostnames are allowed
 /// (resolution happens at connect/bind time); a missing or non-numeric
 /// port is a validation error (exit 2) per the uniform exit-code policy.
@@ -858,89 +650,68 @@ fn check_addr(flag: &str, addr: &str) -> String {
 
 /// Build a [`TelemetryCfg`] from `--telemetry-port` (port 0 = ephemeral;
 /// pair it with `--telemetry-port-file` so pollers can find the port).
-fn telemetry_cfg(sub: &str, port: Option<u64>, port_file: Option<PathBuf>) -> Option<TelemetryCfg> {
-    match (port, port_file) {
-        (None, None) => None,
-        (None, Some(_)) => die(&format!(
+fn telemetry_cfg(args: &mut Args, sub: &str) -> Option<TelemetryCfg> {
+    let port_file = args.value("--telemetry-port-file").map(PathBuf::from);
+    match args.num::<u64>("--telemetry-port") {
+        None if port_file.is_some() => die(&format!(
             "{sub}: --telemetry-port-file requires --telemetry-port"
         )),
-        (Some(p), pf) => {
+        None => None,
+        Some(p) => {
             if p > u16::MAX as u64 {
                 die(&format!("--telemetry-port must be 0..=65535, got {p}"));
             }
             Some(TelemetryCfg {
                 listen: format!("127.0.0.1:{p}"),
-                port_file: pf,
+                port_file,
             })
         }
     }
 }
 
+/// A duration option in milliseconds that must be positive.
+fn positive_ms(args: &mut Args, name: &str) -> Option<u64> {
+    let ms = args.num(name)?;
+    if ms == 0 {
+        die(&format!("{name} must be positive"));
+    }
+    Some(ms)
+}
+
+/// The one `ADDR` argument (HOST:PORT of a telemetry endpoint) of the
+/// `status`/`top`/`scrape` pollers.
+fn telemetry_addr(args: &mut Args, sub: &str) -> String {
+    match args.positionals().as_slice() {
+        [addr] => check_addr(&format!("{sub} ADDR"), addr),
+        [] => die(&format!(
+            "{sub} requires ADDR (HOST:PORT of a telemetry endpoint)"
+        )),
+        [_, extra, ..] => die(&format!("unexpected argument {extra:?}")),
+    }
+}
+
 /// `campaign serve`: run the dispatch coordinator (docs/DISPATCH.md).
-fn cmd_serve(args: &[String]) {
-    let mut listen = String::from("127.0.0.1:0");
-    let mut port_file: Option<PathBuf> = None;
-    let mut shards = 2usize;
-    let mut lease_ms = 10_000u64;
-    let mut backoff_ms = 250u64;
-    let mut max_backoff_ms = 5_000u64;
-    let mut wait_ms = 200u64;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut telemetry_port: Option<u64> = None;
-    let mut telemetry_port_file: Option<PathBuf> = None;
-    let mut backend = EngineBackend::Timed;
-    fn value(args: &[String], i: usize) -> &str {
-        args.get(i + 1)
-            .unwrap_or_else(|| die(&format!("option {} requires a value", args[i])))
-    }
-    fn num(args: &[String], i: usize) -> u64 {
-        let v = value(args, i);
-        v.parse()
-            .unwrap_or_else(|_| die(&format!("{} takes a number, got {v:?}", args[i])))
-    }
-    let mut adaptive = AdaptiveOpts::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--adaptive" => {
-                adaptive.adaptive = true;
-                i += 1;
-                continue;
-            }
-            "--backend" => backend = parse_backend(value(args, i)),
-            "--listen" => listen = check_addr("--listen", value(args, i)),
-            "--port-file" => port_file = Some(PathBuf::from(value(args, i))),
-            "--shards" => shards = num(args, i) as usize,
-            "--lease-ms" => lease_ms = num(args, i),
-            "--backoff-ms" => backoff_ms = num(args, i),
-            "--max-backoff-ms" => max_backoff_ms = num(args, i),
-            "--wait-ms" => wait_ms = num(args, i),
-            "--out-dir" => out_dir = Some(PathBuf::from(value(args, i))),
-            "--telemetry-port" => telemetry_port = Some(num(args, i)),
-            "--telemetry-port-file" => telemetry_port_file = Some(PathBuf::from(value(args, i))),
-            "--ci-target" => {
-                let v = value(args, i);
-                adaptive.ci_target =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        die(&format!("--ci-target takes a number, got {v:?}"))
-                    }));
-            }
-            "--wave-size" => adaptive.wave_size = Some(num(args, i) as usize),
-            "--max-trials" => adaptive.max_trials = Some(num(args, i) as usize),
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    let adaptive = adaptive.into_cfg();
-    let o = parse_common(&rest);
-    if !o.positional.is_empty() {
-        die(&format!("unexpected argument {:?}", o.positional[0]));
-    }
+fn cmd_serve(mut args: Args) {
+    let adaptive = args.adaptive();
+    let backend = args.backend();
+    let listen = args
+        .value("--listen")
+        .map_or_else(|| "127.0.0.1:0".to_string(), |v| check_addr("--listen", &v));
+    let port_file = args.value("--port-file").map(PathBuf::from);
+    let backoff_ms = positive_ms(&mut args, "--backoff-ms").unwrap_or(250);
+    let max_backoff_ms = args.num("--max-backoff-ms").unwrap_or(5_000);
+    let dcfg = DispatchCfg {
+        shards: args.num("--shards").unwrap_or(2),
+        lease: Duration::from_millis(positive_ms(&mut args, "--lease-ms").unwrap_or(10_000)),
+        backoff: Duration::from_millis(backoff_ms),
+        max_backoff: Duration::from_millis(max_backoff_ms),
+        wait_ms: positive_ms(&mut args, "--wait-ms").unwrap_or(200),
+        out_dir: args.value("--out-dir").map(PathBuf::from),
+        telemetry: telemetry_cfg(&mut args, "serve"),
+    };
+    let shards = dcfg.shards;
+    let o = CommonOpts::parse(&mut args);
+    init_observability(args);
     let Some(app) = &o.app else {
         die("serve requires --app NAME");
     };
@@ -953,21 +724,18 @@ fn cmd_serve(args: &[String]) {
     if shards == 0 {
         die("--shards must be at least 1");
     }
-    if lease_ms == 0 || backoff_ms == 0 || wait_ms == 0 {
-        die("--lease-ms, --backoff-ms, and --wait-ms must be positive");
-    }
     if max_backoff_ms < backoff_ms {
         die(&format!(
             "--max-backoff-ms {max_backoff_ms} is below --backoff-ms {backoff_ms}"
         ));
     }
-    if adaptive.is_some() && telemetry_port.is_some() {
+    if adaptive.is_some() && dcfg.telemetry.is_some() {
         die(
             "serve --adaptive cannot mount a fixed telemetry port: each wave runs its own \
              coordinator and the port would be re-bound mid-campaign",
         );
     }
-    let bench = find_bench(app);
+    let bench = find_app(app);
     let spec = CampaignSpec {
         app: bench.name().to_string(),
         layer: o.layer,
@@ -982,15 +750,6 @@ fn cmd_serve(args: &[String]) {
         fault_model: o.cfg.pattern,
         backend,
         wave: None,
-    };
-    let dcfg = DispatchCfg {
-        shards,
-        lease: std::time::Duration::from_millis(lease_ms),
-        backoff: std::time::Duration::from_millis(backoff_ms),
-        max_backoff: std::time::Duration::from_millis(max_backoff_ms),
-        wait_ms,
-        out_dir,
-        telemetry: telemetry_cfg("serve", telemetry_port, telemetry_port_file),
     };
     let listener = std::net::TcpListener::bind(&listen)
         .unwrap_or_else(|e| fail(&format!("cannot listen on {listen}: {e}")));
@@ -1119,61 +878,24 @@ fn cmd_serve(args: &[String]) {
 }
 
 /// `campaign work`: run one worker daemon against a coordinator.
-fn cmd_work(args: &[String]) {
-    let mut connect: Option<String> = None;
-    let mut cfg = WorkerCfg {
-        name: format!("worker-{}", std::process::id()),
-        ..WorkerCfg::default()
+fn cmd_work(mut args: Args) {
+    let connect = args.value("--connect").map(|v| check_addr("--connect", &v));
+    let default = WorkerCfg::default();
+    let cfg = WorkerCfg {
+        name: args
+            .value("--name")
+            .unwrap_or_else(|| format!("worker-{}", std::process::id())),
+        heartbeat: positive_ms(&mut args, "--heartbeat-ms")
+            .map_or(default.heartbeat, Duration::from_millis),
+        read_timeout: positive_ms(&mut args, "--read-timeout-ms")
+            .map_or(default.read_timeout, Duration::from_millis),
+        // Fault-tolerance test hook: die abruptly after N trials.
+        fail_after: args.num("--fail-after"),
+        telemetry: telemetry_cfg(&mut args, "work"),
+        trace: args.flag("--trace"),
     };
-    let mut telemetry_port: Option<u64> = None;
-    let mut telemetry_port_file: Option<PathBuf> = None;
-    let mut follow = false;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            cfg.trace = true;
-            i += 1;
-            continue;
-        }
-        if args[i] == "--follow" {
-            follow = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--connect" => connect = Some(check_addr("--connect", v)),
-            "--name" => cfg.name = v.clone(),
-            "--heartbeat-ms" => {
-                let ms = parse_num("--heartbeat-ms");
-                if ms == 0 {
-                    die("--heartbeat-ms must be positive");
-                }
-                cfg.heartbeat = std::time::Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let ms = parse_num("--read-timeout-ms");
-                if ms == 0 {
-                    die("--read-timeout-ms must be positive");
-                }
-                cfg.read_timeout = std::time::Duration::from_millis(ms);
-            }
-            // Fault-tolerance test hook: die abruptly after N trials.
-            "--fail-after" => cfg.fail_after = Some(parse_num("--fail-after") as usize),
-            "--telemetry-port" => telemetry_port = Some(parse_num("--telemetry-port")),
-            "--telemetry-port-file" => telemetry_port_file = Some(PathBuf::from(v)),
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 2;
-    }
-    cfg.telemetry = telemetry_cfg("work", telemetry_port, telemetry_port_file);
+    let follow = args.flag("--follow");
+    init_observability(args);
     if follow && cfg.telemetry.is_some() {
         die("work --follow cannot mount a fixed telemetry port: each session re-binds it");
     }
@@ -1397,51 +1119,20 @@ fn fleet_lines(doc: &obs::JsonNode) -> Vec<String> {
 }
 
 /// `campaign status ADDR`: one-shot fleet view from a `/status` endpoint.
-fn cmd_status(args: &[String]) {
-    let Some(addr) = args.first() else {
-        die("status requires ADDR (HOST:PORT of a telemetry endpoint)");
-    };
-    let addr = check_addr("status ADDR", addr);
+fn cmd_status(mut args: Args) {
+    let addr = telemetry_addr(&mut args, "status");
+    init_observability(args);
     for line in fleet_lines(&fetch_status(&addr)) {
         println!("{line}");
     }
 }
 
 /// `campaign top ADDR`: poll `/status` and redraw a live fleet view.
-fn cmd_top(args: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut interval = std::time::Duration::from_millis(1_000);
-    let mut iterations = 0u64; // 0 = until the coordinator reports done
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--interval-ms" | "--iterations" => {
-                let Some(v) = args.get(i + 1) else {
-                    die(&format!("option {} requires a value", args[i]));
-                };
-                let num: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("{} takes a number, got {v:?}", args[i])));
-                if args[i] == "--interval-ms" {
-                    if num == 0 {
-                        die("--interval-ms must be positive");
-                    }
-                    interval = std::time::Duration::from_millis(num);
-                } else {
-                    iterations = num;
-                }
-                i += 2;
-            }
-            a if !a.starts_with("--") && addr.is_none() => {
-                addr = Some(check_addr("top ADDR", a));
-                i += 1;
-            }
-            other => die(&format!("unknown option {other}")),
-        }
-    }
-    let Some(addr) = addr else {
-        die("top requires ADDR (HOST:PORT of a telemetry endpoint)");
-    };
+fn cmd_top(mut args: Args) {
+    let interval = Duration::from_millis(positive_ms(&mut args, "--interval-ms").unwrap_or(1_000));
+    let iterations = args.num("--iterations").unwrap_or(0u64); // 0 = until the coordinator reports done
+    let addr = telemetry_addr(&mut args, "top");
+    init_observability(args);
     use std::io::IsTerminal;
     let clear = std::io::stdout().is_terminal();
     let mut round = 0u64;
@@ -1464,11 +1155,9 @@ fn cmd_top(args: &[String]) {
 }
 
 /// `campaign scrape ADDR`: fetch `/metrics` + `/status`, lint both.
-fn cmd_scrape(args: &[String]) {
-    let Some(addr) = args.first() else {
-        die("scrape requires ADDR (HOST:PORT of a telemetry endpoint)");
-    };
-    let addr = check_addr("scrape ADDR", addr);
+fn cmd_scrape(mut args: Args) {
+    let addr = telemetry_addr(&mut args, "scrape");
+    init_observability(args);
     let body = match obs::http_get(&addr, "/metrics", std::time::Duration::from_secs(2)) {
         Ok((200, body)) => body,
         Ok((code, _)) => fail(&format!("{addr}/metrics returned HTTP {code}")),
@@ -1481,7 +1170,8 @@ fn cmd_scrape(args: &[String]) {
 }
 
 /// `campaign lint`: validate Prometheus exposition text from stdin.
-fn cmd_lint() {
+fn cmd_lint(args: Args) {
+    init_observability(args);
     use std::io::Read;
     let mut body = String::new();
     std::io::stdin()
@@ -1495,12 +1185,14 @@ fn cmd_lint() {
 
 /// `campaign timeline FILE...`: print trace events from JSONL event files
 /// in wall-clock order (one table across coordinator + worker sinks).
-fn cmd_timeline(args: &[String]) {
-    if args.is_empty() {
+fn cmd_timeline(mut args: Args) {
+    let files = args.positionals();
+    init_observability(args);
+    if files.is_empty() {
         die("timeline requires at least one JSONL events file");
     }
     let mut events = Vec::new();
-    for path in args {
+    for path in &files {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         events.extend(text.lines().filter_map(obs::TraceEvent::parse));
     }
@@ -1534,25 +1226,24 @@ fn cmd_timeline(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(sub) = args.get(1) else {
+    let mut args = Args::from_env();
+    let Some(sub) = args.subcommand() else {
         die(
             "usage: campaign <run|merge|serve|work|status|top|scrape|lint|timeline|smoke> \
              [options] (see docs/CAMPAIGNS.md, docs/DISPATCH.md, docs/OBSERVABILITY.md)",
         );
     };
-    init_observability();
     match sub.as_str() {
-        "run" => cmd_run(&args[2..]),
-        "merge" => cmd_merge(&args[2..]),
-        "serve" => cmd_serve(&args[2..]),
-        "work" => cmd_work(&args[2..]),
-        "status" => cmd_status(&args[2..]),
-        "top" => cmd_top(&args[2..]),
-        "scrape" => cmd_scrape(&args[2..]),
-        "lint" => cmd_lint(),
-        "timeline" => cmd_timeline(&args[2..]),
-        "smoke" => cmd_smoke(),
+        "run" => cmd_run(args),
+        "merge" => cmd_merge(args),
+        "serve" => cmd_serve(args),
+        "work" => cmd_work(args),
+        "status" => cmd_status(args),
+        "top" => cmd_top(args),
+        "scrape" => cmd_scrape(args),
+        "lint" => cmd_lint(args),
+        "timeline" => cmd_timeline(args),
+        "smoke" => cmd_smoke(args),
         other => die(&format!(
             "unknown subcommand {other:?} (run|merge|serve|work|status|top|scrape|lint|timeline|smoke)"
         )),

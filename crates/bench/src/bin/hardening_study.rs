@@ -17,13 +17,15 @@
 //! TMR runs cost ~3.5× the unprotected ones, so defaults are smaller
 //! than `baseline_study`'s.
 
-use bench::{cli_campaign_cfg, finish_observability, init_observability, results_dir};
+use bench::cli::Args;
+use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
 use relia::{evaluate_hardening, pct, pct4, Table};
 
 fn main() {
-    init_observability();
-    let cfg = cli_campaign_cfg(150, 150);
+    let mut args = Args::from_env();
+    let cfg = args.campaign_cfg(150, 150);
+    init_observability(args);
     let dir = results_dir();
     let gpu = cfg.gpu.clone();
 

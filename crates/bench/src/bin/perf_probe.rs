@@ -4,6 +4,7 @@ use relia::{run_uarch_campaign, CampaignCfg};
 use std::time::Instant;
 
 fn main() {
+    bench::cli::Args::from_env().finish();
     let cfg = CampaignCfg::new(10, 10, 1);
     let mut total = 0.0;
     for b in all_benchmarks() {

@@ -6,6 +6,7 @@ use std::time::Instant;
 use vgpu_sim::HwStructure;
 
 fn main() {
+    bench::cli::Args::from_env().finish();
     let cfg = CampaignCfg::new(200, 200, 1);
     for b in [&Va as &dyn kernels::Benchmark, &Lud] {
         let t = Instant::now();

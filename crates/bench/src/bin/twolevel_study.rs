@@ -29,8 +29,9 @@
 use std::process::exit;
 
 use ace::{estimate_app, spearman};
+use bench::cli::{die, fail, find_app, Args};
 use bench::{finish_observability, init_observability, results_dir};
-use kernels::{all_benchmarks, Benchmark};
+use kernels::Benchmark;
 use relia::plan::Layer;
 use relia::{
     execute_shard, prepare_sw_kinds, sw_seed_tag, CampaignCfg, Confidence, EngineCfg, Table,
@@ -40,13 +41,8 @@ use vgpu_sim::{GpuConfig, SwFaultKind};
 
 const FIG_CSV: &str = "fig_twolevel.csv";
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2);
-}
-
 struct Opts {
-    apps: Option<String>,
+    benches: Vec<Box<dyn Benchmark>>,
     /// Full-injection reference trials per kernel (ground truth).
     n_ref: usize,
     /// Two-level trials per (kernel, instruction class).
@@ -59,80 +55,21 @@ struct Opts {
     check: bool,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        apps: None,
-        n_ref: 400,
-        n_class: 24,
-        reps: 500,
-        seed: 0x7E11_EBE1,
-        gpu: GpuConfig::volta_scaled(4),
-        acfg: AdaptiveCfg::new(0.1, 8, 128),
-        check: false,
+fn parse_opts(args: &mut Args) -> Opts {
+    let o = Opts {
+        benches: args.apps(),
+        n_ref: args.num("--n-ref").unwrap_or(400),
+        n_class: args.num("--n-class").unwrap_or(24),
+        reps: args.num("--reps").unwrap_or(500),
+        seed: args.num("--seed").unwrap_or(0x7E11_EBE1),
+        gpu: args.gpu().unwrap_or_else(|| GpuConfig::volta_scaled(4)),
+        acfg: args.adaptive_sizing(AdaptiveCfg::new(0.1, 8, 128)),
+        check: args.flag("--check"),
     };
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--check" {
-            o.check = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--apps" => o.apps = Some(v.clone()),
-            "--n-ref" => o.n_ref = parse_num("--n-ref") as usize,
-            "--n-class" => o.n_class = parse_num("--n-class") as usize,
-            "--reps" => o.reps = parse_num("--reps") as usize,
-            "--seed" => o.seed = parse_num("--seed"),
-            "--sms" => o.gpu = GpuConfig::volta_scaled(parse_num("--sms") as u32),
-            "--ci-target" => {
-                o.acfg.ci_target = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--ci-target takes a number, got {v:?}")));
-            }
-            "--wave-size" => o.acfg.wave_size = parse_num("--wave-size") as usize,
-            "--max-trials" => o.acfg.max_per_stratum = parse_num("--max-trials") as usize,
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 2;
-    }
-    o.acfg.validate().unwrap_or_else(|e| die(&e));
     if o.n_ref == 0 || o.n_class == 0 || o.reps == 0 {
         die("--n-ref, --n-class, and --reps must be >= 1");
     }
     o
-}
-
-/// Suite subset in canonical (figure) order, regardless of `--apps` order.
-fn select_benches(spec: Option<&str>) -> Vec<Box<dyn Benchmark>> {
-    let all = all_benchmarks();
-    let Some(spec) = spec else {
-        return all;
-    };
-    let wanted: Vec<String> = spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    for w in &wanted {
-        if !all.iter().any(|b| b.name().eq_ignore_ascii_case(w)) {
-            let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-            die(&format!(
-                "unknown app {w:?}; available: {}",
-                names.join(", ")
-            ));
-        }
-    }
-    all.into_iter()
-        .filter(|b| wanted.iter().any(|w| b.name().eq_ignore_ascii_case(w)))
-        .collect()
 }
 
 /// Large dest-value-only reference campaign: per-kernel SDC ground truth.
@@ -169,7 +106,6 @@ struct Point {
 }
 
 fn cmd_study(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
     let mut points: Vec<Point> = Vec::new();
     let mut summary = Table::new(
         format!(
@@ -189,7 +125,7 @@ fn cmd_study(o: &Opts) {
         ],
     );
 
-    for b in &benches {
+    for b in &o.benches {
         eprintln!("[twolevel] {}...", b.name());
         let full = full_reference(b.as_ref(), o);
         let two_cfg = CampaignCfg {
@@ -360,15 +296,15 @@ fn cmd_study(o: &Opts) {
 /// adaptive sizer must be deterministic and structurally coherent,
 /// without touching `results/`.
 fn cmd_smoke() {
-    let bench = select_benches(Some("VA")).pop().unwrap();
+    let bench = find_app("VA");
     let cfg = CampaignCfg::new(0, 3, 0x5710_CA5E);
     let a = estimate_two_level(bench.as_ref(), &cfg, Confidence::C95, 50);
     let b = estimate_two_level(bench.as_ref(), &cfg, Confidence::C95, 50);
     if a != b {
-        die("smoke failed: two-level estimates differ across reruns");
+        fail("smoke failed: two-level estimates differ across reruns");
     }
     if !(a.sdc_ci.contains(a.sdc) && a.failure_ci.contains(a.failure)) {
-        die("smoke failed: propagated CI does not cover the point estimate");
+        fail("smoke failed: propagated CI does not cover the point estimate");
     }
     let acfg = AdaptiveCfg::new(0.25, 4, 16);
     let r1 = run_adaptive_single(
@@ -379,7 +315,7 @@ fn cmd_smoke() {
         &class_targets(),
         &acfg,
     )
-    .unwrap_or_else(|e| die(&format!("smoke failed: adaptive run: {e}")));
+    .unwrap_or_else(|e| fail(&format!("smoke failed: adaptive run: {e}")));
     let r2 = run_adaptive_single(
         bench.as_ref(),
         &cfg,
@@ -388,12 +324,12 @@ fn cmd_smoke() {
         &class_targets(),
         &acfg,
     )
-    .unwrap_or_else(|e| die(&format!("smoke failed: adaptive rerun: {e}")));
+    .unwrap_or_else(|e| fail(&format!("smoke failed: adaptive rerun: {e}")));
     if r1 != r2 {
-        die("smoke failed: adaptive campaigns differ across reruns");
+        fail("smoke failed: adaptive campaigns differ across reruns");
     }
     if r1.savings() < 1.0 || r1.total_trials() == 0 {
-        die("smoke failed: degenerate adaptive campaign");
+        fail("smoke failed: degenerate adaptive campaign");
     }
     println!(
         "smoke ok: VA two-level SDC {:.4} in [{:.4}, {:.4}], adaptive {} waves / {} trials \
@@ -408,13 +344,14 @@ fn cmd_smoke() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("smoke") {
+    let mut args = Args::from_env();
+    if args.leading("smoke") {
+        args.finish();
         cmd_smoke();
         return;
     }
-    let o = parse_opts(&args);
-    init_observability();
+    let o = parse_opts(&mut args);
+    init_observability(args);
     cmd_study(&o);
     finish_observability();
 }

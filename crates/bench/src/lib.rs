@@ -4,85 +4,12 @@
 //! (see DESIGN.md's per-experiment index) and writes both an aligned text
 //! table to stdout and a CSV under `results/`.
 
-use relia::CampaignCfg;
+use relia::{CampaignCfg, EngineBackend};
 
-/// Parse common CLI options: `--n-uarch N --n-sw N --seed S --sms N
-/// --fault-model PATTERN --events PATH`, plus the per-injection watchdog
-/// knobs `--wall-limit-us N --cycle-limit N --no-retry` (see docs/CAMPAIGNS.md;
-/// all limits default to off so results stay bit-reproducible). Defaults
-/// are sized so every figure regenerates in minutes on a laptop; pass
-/// larger counts to tighten confidence intervals (the paper used 3,000
-/// injections per target at ±2.35%, 99% confidence). `--events` is
-/// consumed by [`init_observability`].
-pub fn cli_campaign_cfg(default_uarch: usize, default_sw: usize) -> CampaignCfg {
-    let mut cfg = CampaignCfg::new(default_uarch, default_sw, 0xC0FF_EE00);
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        // Valueless flags first, then `--flag VALUE` pairs.
-        if args[i] == "--no-retry" {
-            cfg.watchdog.retry_on_panic = false;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            panic!("option {} requires a value", args[i]);
-        };
-        match args[i].as_str() {
-            "--n-uarch" => cfg.n_uarch = v.parse().expect("--n-uarch takes a number"),
-            "--n-sw" => cfg.n_sw = v.parse().expect("--n-sw takes a number"),
-            "--seed" => cfg.seed = v.parse().expect("--seed takes a number"),
-            "--sms" => {
-                cfg.gpu =
-                    vgpu_sim::GpuConfig::volta_scaled(v.parse().expect("--sms takes a number"))
-            }
-            "--wall-limit-us" => {
-                cfg.watchdog.wall_us_limit =
-                    Some(v.parse().expect("--wall-limit-us takes a number"))
-            }
-            "--cycle-limit" => {
-                cfg.watchdog.cycle_limit = Some(v.parse().expect("--cycle-limit takes a number"))
-            }
-            "--fault-model" => {
-                cfg.pattern = vgpu_sim::FaultPattern::from_label(v)
-                    .unwrap_or_else(|| panic!("unknown --fault-model {v:?}"))
-            }
-            "--backend" => {} // handled by cli_backend
-            "--events" => {}  // handled by init_observability
-            other => panic!("unknown option {other}"),
-        }
-        i += 2;
-    }
-    cfg
-}
+pub mod cli;
 
-/// `--backend timed|replay` from the raw CLI args: the engine-backend
-/// axis the study binaries share with `campaign run` (docs/TRACE.md).
-/// Defaults to the timed backend when the flag is absent.
-pub fn cli_backend() -> relia::EngineBackend {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--backend") {
-        None => relia::EngineBackend::Timed,
-        Some(i) => {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("option --backend requires a value"));
-            relia::EngineBackend::from_label(v)
-                .unwrap_or_else(|| panic!("unknown --backend {v:?} (timed, replay)"))
-        }
-    }
-}
-
-/// Parse a `--structures RF,SMEM,L2` list into [`vgpu_sim::HwStructure`]s
-/// (case-insensitive labels, order preserved, duplicates dropped). The
-/// error message names the offending label so callers can `exit(2)` with
-/// it directly. The canonical implementation lives in the dispatch crate
-/// (the job frame carries the same spec string over the wire).
-pub fn parse_structures(spec: &str) -> Result<Vec<vgpu_sim::HwStructure>, String> {
-    dispatch::parse_structures(spec)
-}
-
-/// Turn on observability from CLI/env before running campaigns:
+/// Turn on observability from the command line and environment before
+/// running campaigns:
 ///
 /// * `--events PATH` or `RELIA_EVENTS=PATH` — JSONL event sink (one line
 ///   per injection) plus the metrics registry;
@@ -90,29 +17,24 @@ pub fn parse_structures(spec: &str) -> Result<Vec<vgpu_sim::HwStructure>, String
 /// * `RELIA_PROGRESS=1`/`0` — force the stderr progress reporter on/off
 ///   (default: on exactly when events or metrics are on).
 ///
-/// With none of these set the campaigns run exactly as before: no files,
-/// no extra output, identical results (observability never touches the
-/// seeded RNG streams).
-pub fn init_observability() {
+/// Takes `--events` and then [`cli::Args::finish`]es the command line, so
+/// a malformed one exits 2 before the events file is created. With none of
+/// these set the campaigns run exactly as before: no files, no extra
+/// output, identical results (observability never touches the seeded RNG
+/// streams).
+pub fn init_observability(mut args: cli::Args) {
     // Always installed: a panicking campaign must not lose the buffered
     // event/trace lines needed to debug the panic.
     obs::install_panic_hook();
-    let args: Vec<String> = std::env::args().collect();
-    if args.last().map(String::as_str) == Some("--events") {
-        eprintln!("error: --events requires a path");
-        std::process::exit(2);
-    }
     let events_path = args
-        .windows(2)
-        .find(|w| w[0] == "--events")
-        .map(|w| w[1].clone())
+        .value("--events")
         .or_else(|| std::env::var("RELIA_EVENTS").ok().filter(|s| !s.is_empty()));
+    args.finish();
     let metrics_on = std::env::var("RELIA_METRICS").is_ok_and(|v| v != "0");
     let mut any = metrics_on;
     if let Some(p) = &events_path {
         if let Err(e) = obs::init_events(std::path::Path::new(p)) {
-            eprintln!("error: cannot open events file {p}: {e}");
-            std::process::exit(2);
+            cli::die(&format!("cannot open events file {p}: {e}"));
         }
         eprintln!("[obs] writing events to {p}");
         any = true;
@@ -160,13 +82,13 @@ pub struct BaselineResults {
     pub apps: Vec<(relia::UarchAppResult, relia::SvfAppResult)>,
 }
 
-pub fn run_baseline(cfg: &CampaignCfg) -> BaselineResults {
+pub fn run_baseline(cfg: &CampaignCfg, backend: EngineBackend) -> BaselineResults {
     let apps = kernels::all_benchmarks()
         .iter()
         .map(|b| {
             eprintln!("[baseline] {} ...", b.name());
             (
-                relia::run_uarch_campaign(b.as_ref(), cfg, false),
+                relia::run_uarch_campaign_with(b.as_ref(), cfg, false, backend),
                 relia::run_sw_campaign(b.as_ref(), cfg, false),
             )
         })
@@ -174,26 +96,5 @@ pub fn run_baseline(cfg: &CampaignCfg) -> BaselineResults {
     BaselineResults {
         cfg: cfg.clone(),
         apps,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use vgpu_sim::HwStructure;
-
-    #[test]
-    fn parse_structures_accepts_lists_and_rejects_unknowns() {
-        assert_eq!(
-            super::parse_structures("RF,SMEM,L2").unwrap(),
-            vec![HwStructure::RegFile, HwStructure::Smem, HwStructure::L2]
-        );
-        // Case-insensitive, whitespace-tolerant, dedup preserving order.
-        assert_eq!(
-            super::parse_structures(" l2 , rf ,L2").unwrap(),
-            vec![HwStructure::L2, HwStructure::RegFile]
-        );
-        assert!(super::parse_structures("RF,SM").unwrap_err().contains("SM"));
-        assert!(super::parse_structures("").is_err());
-        assert!(super::parse_structures(",,").is_err());
     }
 }

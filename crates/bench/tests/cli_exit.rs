@@ -255,3 +255,114 @@ fn success_exits_0() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+/// Every option-taking bench binary, with the arguments that select its
+/// option-parsing mode.
+const BINARIES: &[(&str, &str, &[&str])] = &[
+    ("baseline_study", env!("CARGO_BIN_EXE_baseline_study"), &[]),
+    (
+        "hardening_study",
+        env!("CARGO_BIN_EXE_hardening_study"),
+        &[],
+    ),
+    ("layers_study", env!("CARGO_BIN_EXE_layers_study"), &[]),
+    ("speed_study", env!("CARGO_BIN_EXE_speed_study"), &[]),
+    (
+        "ablation_sizing",
+        env!("CARGO_BIN_EXE_ablation_sizing"),
+        &[],
+    ),
+    (
+        "fig03_utilization",
+        env!("CARGO_BIN_EXE_fig03_utilization"),
+        &[],
+    ),
+    (
+        "fig12_register_reuse",
+        env!("CARGO_BIN_EXE_fig12_register_reuse"),
+        &[],
+    ),
+    (
+        "fault_model_study",
+        env!("CARGO_BIN_EXE_fault_model_study"),
+        &[],
+    ),
+    ("ace_study", env!("CARGO_BIN_EXE_ace_study"), &[]),
+    ("twolevel_study", env!("CARGO_BIN_EXE_twolevel_study"), &[]),
+    (
+        "campaign",
+        env!("CARGO_BIN_EXE_campaign"),
+        &["run", "--app", "VA"],
+    ),
+];
+
+/// `name` run with `args` must be a usage error: exit 2 and an `error:`
+/// line, not a panic. Every case here fails before any campaign starts, so
+/// no study runs to completion and rewrites `results/`.
+fn assert_usage_error(name: &str, exe: &str, args: &[&str]) {
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{name} {args:?}: want exit 2\nstderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("error:") && !stderr.contains("panicked"),
+        "{name} {args:?}: want an error line, no panic\nstderr: {stderr}"
+    );
+}
+
+fn binary(name: &str) -> (&'static str, &'static [&'static str]) {
+    let &(_, exe, prefix) = BINARIES
+        .iter()
+        .find(|(n, _, _)| *n == name)
+        .expect("binary in the table");
+    (exe, prefix)
+}
+
+#[test]
+fn every_binary_rejects_malformed_options_with_exit_2() {
+    let cases: [&[&str]; 3] = [&["--bogus", "1"], &["--seed"], &["--seed", "x"]];
+    for &(name, exe, prefix) in BINARIES {
+        for case in cases {
+            assert_usage_error(name, exe, &[prefix, case].concat());
+        }
+    }
+}
+
+#[test]
+fn options_a_binary_does_not_read_are_rejected() {
+    let events = std::env::temp_dir().join("bench-cli-exit-never-written.jsonl");
+    let events = events.to_str().expect("utf-8 temp dir");
+    let mut cases: Vec<(&str, Vec<&str>)> = vec![
+        // The backend is read, so an unknown label is an error.
+        ("baseline_study", vec!["--backend", "quantum"]),
+        ("fault_model_study", vec!["smoke", "--bogus"]),
+        ("ace_study", vec!["smoke", "--apps", "VA"]),
+    ];
+    for name in [
+        "hardening_study",
+        "speed_study",
+        "ablation_sizing",
+        "fig03_utilization",
+        "fig12_register_reuse",
+    ] {
+        cases.push((name, vec!["--backend", "replay"]));
+    }
+    for name in [
+        "speed_study",
+        "ablation_sizing",
+        "fig03_utilization",
+        "fig12_register_reuse",
+    ] {
+        cases.push((name, vec!["--events", events]));
+    }
+    for (name, args) in cases {
+        let (exe, prefix) = binary(name);
+        assert_usage_error(name, exe, &[prefix, &args[..]].concat());
+    }
+}

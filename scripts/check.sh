@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> one argument parser (crates/bench/src/cli.rs reads std::env::args)"
+if grep -rn 'env::args' crates/bench/src | grep -v '^crates/bench/src/cli.rs:'; then exit 1; fi
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
